@@ -1,16 +1,15 @@
 #include "core/sweep.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 #include "obs/span.hh"
 #include "obs/timer.hh"
+#include "util/fanout.hh"
 #include "xmem/xmem_harness.hh"
 
 namespace lll::core
@@ -850,6 +849,51 @@ sweepUnits(const std::vector<platforms::Platform> &platforms,
     return units;
 }
 
+namespace
+{
+
+/** One latency profile per distinct platform of a batch, or the
+ *  reason it could not be had. */
+struct BatchProfiles
+{
+    std::map<std::string, xmem::LatencyProfile> loaded;
+    std::map<std::string, Status> errors;
+};
+
+/**
+ * Measure or load the profile of every distinct platform in @p units
+ * before any worker starts, so the fan-out never touches profile files
+ * concurrently.  A cold characterization spreads its operating points
+ * over @p jobs threads; the profile does not depend on @p jobs.
+ */
+template <typename Unit>
+BatchProfiles
+loadProfiles(const std::vector<Unit> &units, int jobs)
+{
+    xmem::XMemHarness::Params xp;
+    xp.jobs = jobs;
+    const xmem::XMemHarness harness(xp);
+    BatchProfiles out;
+    for (const Unit &u : units) {
+        const std::string &name = u.platform.name;
+        if (out.loaded.count(name) || out.errors.count(name))
+            continue;
+        util::Result<xmem::LatencyProfile> prof =
+            harness.measureCachedChecked(
+                u.platform, xmem::defaultProfilePath(u.platform));
+        if (prof.ok()) {
+            out.loaded.emplace(name, prof.take());
+        } else {
+            out.errors.emplace(
+                name, prof.status().withContext("profile for '%s'",
+                                                name.c_str()));
+        }
+    }
+    return out;
+}
+
+} // namespace
+
 util::Result<std::vector<SweepRunner::UnitResult>>
 SweepRunner::run(const std::vector<SweepUnit> &units)
 {
@@ -858,21 +902,11 @@ SweepRunner::run(const std::vector<SweepUnit> &units)
     if (n == 0)
         return results;
 
-    // Latency profiles are measured (and their cache files written)
-    // once per distinct platform before any worker starts, so the
-    // fan-out never touches profile files concurrently.
-    std::map<std::string, xmem::LatencyProfile> profiles;
+    const BatchProfiles profiles = loadProfiles(units, params_.jobs);
     for (const SweepUnit &u : units) {
-        if (profiles.count(u.platform.name))
-            continue;
-        util::Result<xmem::LatencyProfile> prof =
-            xmem::XMemHarness().measureCachedChecked(
-                u.platform, xmem::defaultProfilePath(u.platform));
-        if (!prof.ok()) {
-            return prof.status().withContext("sweep: profile for '%s'",
-                                             u.platform.name.c_str());
-        }
-        profiles.emplace(u.platform.name, prof.take());
+        auto perr = profiles.errors.find(u.platform.name);
+        if (perr != profiles.errors.end())
+            return perr->second.withContext("sweep");
     }
 
     std::vector<Status> statuses(n);
@@ -880,21 +914,12 @@ SweepRunner::run(const std::vector<SweepUnit> &units)
     std::vector<obs::MetricRegistry> registries(
         params_.registry ? n : 0);
 
-    std::atomic<size_t> next{0};
-    auto workerLoop = [&] {
-        for (size_t i = next.fetch_add(1); i < n;
-             i = next.fetch_add(1)) {
-            const SweepUnit &u = units[i];
-            UnitResult &res = results[i];
-            res.platform = u.platform.name;
-            res.workload = u.workload->name();
-
-            // Workers record spans into their thread-local tracker;
-            // reset() brackets each unit so stats() is this unit's
-            // delta even when one thread runs several units.
-            obs::SpanTracker &tracker = obs::SpanTracker::global();
-            tracker.reset();
-
+    util::fanOut(n, params_.jobs, [&](size_t i) {
+        const SweepUnit &u = units[i];
+        UnitResult &res = results[i];
+        res.platform = u.platform.name;
+        res.workload = u.workload->name();
+        spans[i] = obs::SpanTracker::capture([&] {
             Experiment::Params ep;
             ep.warmupUs = params_.warmupUs;
             ep.measureUs = params_.measureUs;
@@ -907,7 +932,7 @@ SweepRunner::run(const std::vector<SweepUnit> &units)
 
             util::Result<Experiment> exp = Experiment::create(
                 u.platform, *u.workload,
-                profiles.find(u.platform.name)->second, ep);
+                profiles.loaded.find(u.platform.name)->second, ep);
             if (!exp.ok()) {
                 statuses[i] = exp.status().withContext(
                     "sweep unit %s/%s", res.platform.c_str(),
@@ -915,22 +940,8 @@ SweepRunner::run(const std::vector<SweepUnit> &units)
             } else {
                 res.rows = exp->paperTable();
             }
-            spans[i] = tracker.stats();
-            tracker.reset();
-        }
-    };
-
-    // Workers are always threads — even --jobs 1 — so the main thread's
-    // span tracker sees sweep work only through the deterministic merge
-    // below and serial/parallel runs take one code path.
-    const size_t jobs = std::min<size_t>(
-        n, params_.jobs > 1 ? static_cast<size_t>(params_.jobs) : 1);
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (size_t j = 0; j < jobs; ++j)
-        pool.emplace_back(workerLoop);
-    for (std::thread &t : pool)
-        t.join();
+        });
+    });
 
     // Merge-after-join, in unit order regardless of completion order.
     for (size_t i = 0; i < n; ++i) {
@@ -953,26 +964,10 @@ SweepRunner::runStages(const std::vector<StageUnit> &units)
     if (n == 0)
         return outcomes;
 
-    // Profile preload, as in run() — but a platform whose profile
-    // cannot be loaded fails *its* units, not the batch: the service
-    // contract is one status per request.
-    std::map<std::string, xmem::LatencyProfile> profiles;
-    std::map<std::string, Status> profile_errors;
-    for (const StageUnit &u : units) {
-        const std::string &name = u.platform.name;
-        if (profiles.count(name) || profile_errors.count(name))
-            continue;
-        util::Result<xmem::LatencyProfile> prof =
-            xmem::XMemHarness().measureCachedChecked(
-                u.platform, xmem::defaultProfilePath(u.platform));
-        if (prof.ok()) {
-            profiles.emplace(name, prof.take());
-        } else {
-            profile_errors.emplace(
-                name, prof.status().withContext("profile for '%s'",
-                                                name.c_str()));
-        }
-    }
+    // As in run(), but a platform whose profile cannot be loaded fails
+    // *its* units, not the batch: the service contract is one status
+    // per request.
+    const BatchProfiles profiles = loadProfiles(units, params_.jobs);
 
     std::vector<std::vector<obs::SpanTracker::Stat>> spans(n);
     std::vector<obs::MetricRegistry> registries(
@@ -982,24 +977,16 @@ SweepRunner::runStages(const std::vector<StageUnit> &units)
     // start so the service can attribute end-to-end request latency.
     obs::WallTimer fanout;
 
-    std::atomic<size_t> next{0};
-    auto workerLoop = [&] {
-        for (size_t i = next.fetch_add(1); i < n;
-             i = next.fetch_add(1)) {
-            const StageUnit &u = units[i];
-            StageOutcome &out = outcomes[i];
-            const double picked_up_ns = fanout.elapsedNs();
-            out.queueWaitNs = picked_up_ns;
-
-            obs::SpanTracker &tracker = obs::SpanTracker::global();
-            tracker.reset();
-
-            auto perr = profile_errors.find(u.platform.name);
-            if (perr != profile_errors.end()) {
+    const size_t jobs = util::fanOut(n, params_.jobs, [&](size_t i) {
+        const StageUnit &u = units[i];
+        StageOutcome &out = outcomes[i];
+        const double picked_up_ns = fanout.elapsedNs();
+        out.queueWaitNs = picked_up_ns;
+        spans[i] = obs::SpanTracker::capture([&] {
+            auto perr = profiles.errors.find(u.platform.name);
+            if (perr != profiles.errors.end()) {
                 out.status = perr->second;
-                spans[i] = tracker.stats();
-                out.simulateNs = fanout.elapsedNs() - picked_up_ns;
-                continue;
+                return;
             }
 
             Experiment::Params ep;
@@ -1014,7 +1001,7 @@ SweepRunner::runStages(const std::vector<StageUnit> &units)
 
             util::Result<Experiment> exp = Experiment::create(
                 u.platform, *u.workload,
-                profiles.find(u.platform.name)->second, ep);
+                profiles.loaded.find(u.platform.name)->second, ep);
             if (!exp.ok()) {
                 out.status = exp.status().withContext(
                     "stage unit %s/%s", u.platform.name.c_str(),
@@ -1022,20 +1009,9 @@ SweepRunner::runStages(const std::vector<StageUnit> &units)
             } else {
                 out.metrics = exp->stage(u.opts);
             }
-            spans[i] = tracker.stats();
-            tracker.reset();
-            out.simulateNs = fanout.elapsedNs() - picked_up_ns;
-        }
-    };
-
-    const size_t jobs = std::min<size_t>(
-        n, params_.jobs > 1 ? static_cast<size_t>(params_.jobs) : 1);
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (size_t j = 0; j < jobs; ++j)
-        pool.emplace_back(workerLoop);
-    for (std::thread &t : pool)
-        t.join();
+        });
+        out.simulateNs = fanout.elapsedNs() - picked_up_ns;
+    });
     const double wall_ns = fanout.elapsedNs();
 
     // Merge-after-join, in unit order regardless of completion order.

@@ -166,8 +166,9 @@ class SweepRunner
   public:
     struct Params
     {
-        /** Worker threads (clamped to [1, #units]).  Results and
-         *  merged telemetry are identical for every value. */
+        /** Worker threads (clamped to [1, #units]), also used for a
+         *  cold platform's X-Mem operating points.  Results, profiles
+         *  and merged telemetry are identical for every value. */
         int jobs = 1;
 
         /** Forwarded to each unit's Experiment. */
@@ -183,7 +184,7 @@ class SweepRunner
          * When set, each unit records into a private registry and the
          * runner mergeFrom()s them into this one after join, in unit
          * order; worker span stats fold into the calling thread's
-         * SpanTracker the same way.
+         * SpanTracker the same way, under its open span.
          */
         obs::MetricRegistry *registry = nullptr;
         obs::Sampler::Params sampler;

@@ -547,8 +547,11 @@ struct Listener::Impl
                     params.maxWriteBuffer / 2)
                 conn.readPaused = true;
         }
-        // (Re)start or clear the slow-loris clock.
-        if (conn.decoder.hasPartial()) {
+        // (Re)start or clear the slow-loris clock.  It runs only while
+        // reads are live: behind a pause the decoder may hold complete
+        // frames the server itself has not taken yet, and the client
+        // cannot be blamed for those.  Resuming restarts it here.
+        if (conn.decoder.hasPartial() && !conn.readPaused) {
             if (!conn.partialActive) {
                 conn.partialActive = true;
                 conn.partialSince = now;
@@ -700,6 +703,7 @@ struct Listener::Impl
         for (auto &[id, conn] : conns) {
             (void)id;
             conn.readPaused = true;
+            conn.partialActive = false; // no read clock while paused
         }
         std::fprintf(stderr,
                      "serve: draining — %zu in flight, %zu "

@@ -102,8 +102,10 @@ struct ListenerParams
      *  flight or unflushed) for this long.  <= 0 disables. */
     int idleTimeoutMs = 30000;
 
-    /** Close a connection whose frame stays incomplete this long —
-     *  the slow-loris guard.  <= 0 disables. */
+    /** Close a connection whose frame stays incomplete this long while
+     *  its reads are live — the slow-loris guard.  The clock stops
+     *  while the server pauses reads and restarts on resume.  <= 0
+     *  disables. */
     int readTimeoutMs = 10000;
 
     /** Forward-progress watchdog: with admitted work in flight but no

@@ -13,14 +13,6 @@ namespace lll::obs
 namespace
 {
 
-/** Last slash-separated segment of @p path. */
-std::string
-lastSegment(const std::string &path)
-{
-    const size_t slash = path.rfind('/');
-    return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
 /**
  * Find or create the node for @p path under @p root.  Intermediate
  * nodes missing from the stats (an outer span still open when the

@@ -39,12 +39,26 @@ SpanTracker::stats() const
 void
 SpanTracker::merge(const std::vector<Stat> &stats)
 {
+    const std::string prefix =
+        stack_.empty() ? std::string() : stack_.back().path + "/";
+    const auto depth = static_cast<unsigned>(stack_.size());
     for (const Stat &s : stats) {
-        Agg &agg = agg_[s.path];
-        agg.depth = s.depth;
+        Agg &agg = agg_[prefix + s.path];
+        agg.depth = s.depth + depth;
         agg.count += s.count;
         agg.wallNs += s.wallNs;
     }
+}
+
+std::vector<SpanTracker::Stat>
+SpanTracker::capture(const std::function<void()> &fn)
+{
+    SpanTracker &tracker = global();
+    tracker.reset();
+    fn();
+    std::vector<Stat> out = tracker.stats();
+    tracker.reset();
+    return out;
 }
 
 void

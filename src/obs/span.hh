@@ -15,15 +15,18 @@
  * retaining every interval, keeping overhead and memory constant.
  *
  * Threading: global() is thread-local, so LLL_SPAN is race-free from
- * sweep workers without any locking; each worker records into its own
- * tracker and the sweep runner merge()s the per-task stats into the
- * main thread's tracker after join, in deterministic task order (the
- * merge-after-join contract, DESIGN.md §11).
+ * fan-out workers without any locking; each worker capture()s one
+ * task's spans and the caller merge()s the per-task stats into its own
+ * tracker after join, in deterministic task order (the merge-after-join
+ * contract, DESIGN.md §11).  The merge nests them under the caller's
+ * open span, so parallel work is attributed inside the span that waited
+ * for it, never beside it.
  */
 
 #ifndef LLL_OBS_SPAN_HH
 #define LLL_OBS_SPAN_HH
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -62,10 +65,23 @@ class SpanTracker
 
     /**
      * Fold per-path aggregates (a worker tracker's stats()) into this
-     * tracker: counts and wall time add, paths union.  The sweep runner
-     * calls this on the main thread after joining its workers.
+     * tracker, nested under the innermost open span: a worker's
+     * `stage[x]` merged while `cmd.sweep` is open lands at
+     * `cmd.sweep/stage[x]`; with no span open it lands at top level.
+     * Counts and wall time add, paths union.  Fan-out callers merge on
+     * their own thread after joining their workers, so worker time
+     * (which overlaps across threads) never sits beside the caller's
+     * spans and a profile's coverage stays at most 100%.
      */
     void merge(const std::vector<Stat> &stats);
+
+    /**
+     * Run @p fn against the calling thread's global() tracker, emptied
+     * first, and return the spans it recorded, leaving the tracker
+     * empty again.  Fan-out workers wrap each task in it so the stats
+     * are that task's alone.
+     */
+    static std::vector<Stat> capture(const std::function<void()> &fn);
 
     /** Forget all aggregates and abandon open spans. */
     void reset();

@@ -142,14 +142,23 @@ class Cache : public MemLevel
     void resetStats(Tick now);
 
   private:
+    /**
+     * One tag-array entry, 16 bytes: the LRU stamp shares a word with
+     * the three state bits.  A 24-core characterization System holds
+     * about a million of these, zero-filled on construction, so the
+     * packing cuts both build time and the memory of Systems running
+     * side by side.  61 stamp bits outlast any simulation (one stamp
+     * per access).
+     */
     struct Line
     {
         uint64_t lineAddr = 0;
-        uint64_t lastUsed = 0;
-        bool valid = false;
-        bool dirty = false;
-        bool prefetched = false;
+        uint64_t lastUsed : 61 = 0;
+        uint64_t valid : 1 = 0;
+        uint64_t dirty : 1 = 0;
+        uint64_t prefetched : 1 = 0;
     };
+    static_assert(sizeof(Line) == 16, "Cache::Line must stay 16 bytes");
 
     unsigned setIndex(uint64_t lineAddr) const;
     Line *lookup(uint64_t lineAddr);

@@ -118,6 +118,21 @@ lintSystemParams(const SystemParams &params)
                   "(got %g / %g)",
                   mem.frontLatencyNs, mem.backLatencyNs);
     }
+    if (mem.banksOverride == 0 && mem.peakGBs > 0.0 &&
+        mem.bankServiceNs > 0.0 && std::isfinite(mem.peakGBs) &&
+        std::isfinite(mem.bankServiceNs)) {
+        // The controller derives its bank count by rounding peak x
+        // service / line; a product under half a line leaves it with
+        // no bank at all.
+        double derived = mem.peakGBs * mem.bankServiceNs /
+                         static_cast<double>(params.lineBytes);
+        if (derived < 0.5) {
+            out.error("LLL-SPEC-017", sub,
+                      "mem: %.1f GB/s x %g ns / %u B derives 0 banks; "
+                      "raise bankServiceNs or set banksOverride",
+                      mem.peakGBs, mem.bankServiceNs, params.lineBytes);
+        }
+    }
     if (mem.banksOverride != 0 && mem.bankServiceNs > 0.0 &&
         std::isfinite(mem.bankServiceNs)) {
         // Peak bandwidth vs bank math: the declared peak must be

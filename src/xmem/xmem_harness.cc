@@ -4,6 +4,7 @@
 
 #include "obs/span.hh"
 #include "sim/system.hh"
+#include "util/fanout.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
 
@@ -30,14 +31,35 @@ LatencyProfile
 XMemHarness::measure(const platforms::Platform &platform) const
 {
     obs::ScopedSpan span("xmem.characterize[" + platform.name + "]");
-    std::vector<LatencyProfile::Point> points;
     const double path_ns = cachePathNs(platform.proto);
 
-    auto run_point = [&](unsigned window, double delay_cycles,
-                         bool streaming) {
+    struct OperatingPoint
+    {
+        unsigned window;
+        double delayCycles;
+        bool streaming;
+    };
+    std::vector<OperatingPoint> plan;
+    // Low-bandwidth points: a single in-flight request per core with
+    // decreasing think time.
+    for (double d : params_.delays)
+        plan.push_back({2, d, false});
+    // Ramp random-access concurrency toward the L1-MSHR ceiling.
+    for (unsigned w : params_.windows)
+        plan.push_back({w, 4.0, false});
+    // Streaming load pushes the sweep to peak achievable bandwidth;
+    // throttled streaming points fill in the knee of the curve.
+    for (double d : {48.0, 32.0, 24.0, 16.0, 12.0, 8.0, 6.0})
+        plan.push_back({8, d, true});
+    for (unsigned w : params_.windows) {
+        if (w >= 4)
+            plan.push_back({w, 2.0, true});
+    }
+
+    auto run_point = [&](const OperatingPoint &op) {
         sim::KernelSpec spec;
         spec.name = "xmem-load";
-        if (streaming) {
+        if (op.streaming) {
             // High-load points: forward sequential readers, the load
             // pattern X-Mem's bandwidth threads use.  The hardware
             // prefetcher engages, which is the only way past the
@@ -58,8 +80,8 @@ XMemHarness::measure(const platforms::Platform &platform) const
             s.weight = 1.0;
             spec.streams.push_back(s);
         }
-        spec.window = window;
-        spec.computeCyclesPerOp = delay_cycles;
+        spec.window = op.window;
+        spec.computeCyclesPerOp = op.delayCycles;
 
         sim::SystemParams sp = platform.sysParams(platform.totalCores, 1);
         sp.seed = params_.seed;
@@ -69,24 +91,20 @@ XMemHarness::measure(const platforms::Platform &platform) const
         LatencyProfile::Point pt;
         pt.bwGBs = r.totalGBs;
         pt.latencyNs = path_ns + r.avgMemLatencyNs;
-        points.push_back(pt);
+        return pt;
     };
 
-    // Low-bandwidth points: a single in-flight request per core with
-    // decreasing think time.
-    for (double d : params_.delays)
-        run_point(2, d, false);
-    // Ramp random-access concurrency toward the L1-MSHR ceiling.
-    for (unsigned w : params_.windows)
-        run_point(w, 4.0, false);
-    // Streaming load pushes the sweep to peak achievable bandwidth;
-    // throttled streaming points fill in the knee of the curve.
-    for (double d : {48.0, 32.0, 24.0, 16.0, 12.0, 8.0, 6.0})
-        run_point(8, d, true);
-    for (unsigned w : params_.windows) {
-        if (w >= 4)
-            run_point(w, 2.0, true);
-    }
+    // Every point simulates a private System from the same seed, so
+    // the points are independent: fan them out, write each by index
+    // and merge the workers' spans in plan order under this one.
+    std::vector<LatencyProfile::Point> points(plan.size());
+    std::vector<std::vector<obs::SpanTracker::Stat>> spans(plan.size());
+    util::fanOut(plan.size(), params_.jobs, [&](size_t i) {
+        spans[i] = obs::SpanTracker::capture(
+            [&] { points[i] = run_point(plan[i]); });
+    });
+    for (const std::vector<obs::SpanTracker::Stat> &s : spans)
+        obs::SpanTracker::global().merge(s);
 
     return LatencyProfile(platform.name, platform.peakGBs,
                           std::move(points));

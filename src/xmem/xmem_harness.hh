@@ -43,6 +43,11 @@ class XMemHarness
         std::vector<double> delays = {512, 128, 48, 16};
 
         uint64_t seed = 12345;
+
+        /** Threads the operating points are spread over (each point
+         *  simulates a private System).  The profile is byte-identical
+         *  for every value; the sweep runner passes its --jobs. */
+        int jobs = 1;
     };
 
     XMemHarness() : params_(Params()) {}
@@ -53,7 +58,9 @@ class XMemHarness
      *
      * Load generators issue uniform-random line accesses (so the hardware
      * prefetcher stays untrained and every access pays the full memory
-     * path, like X-Mem's pointer chase).
+     * path, like X-Mem's pointer chase).  The independent operating
+     * points run on Params::jobs threads; the points come back in the
+     * serial sweep order whatever the thread count.
      */
     LatencyProfile measure(const platforms::Platform &platform) const;
 

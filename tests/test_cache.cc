@@ -195,6 +195,63 @@ TEST_F(CacheTest, LruEvictsLeastRecentlyUsed)
     EXPECT_TRUE(l1_->isResident(8));
 }
 
+TEST_F(CacheTest, PackedLineKeepsVictimChoiceAndDirtyWritebacks)
+{
+    // Cache::Line packs valid/dirty/prefetched beside the LRU stamp.
+    // Walk set 0 (2 ways: lines 0, 4, 8, ...) through clean and dirty
+    // evictions: every victim is the least recently used way, and only
+    // dirty victims are written back.
+    auto resident = [&](std::initializer_list<uint64_t> in,
+                        std::initializer_list<uint64_t> out) {
+        for (uint64_t l : in)
+            EXPECT_TRUE(l1_->isResident(l)) << l;
+        for (uint64_t l : out)
+            EXPECT_FALSE(l1_->isResident(l)) << l;
+    };
+    auto writebacks = [&] { return l1_->stats().writebacksOut.value(); };
+
+    EXPECT_TRUE(store(*l1_, 0)); // dirty, older
+    settle();
+    load(*l1_, 4);
+    settle();
+    load(*l1_, 8); // evicts dirty 0
+    settle();
+    resident({4, 8}, {0});
+    EXPECT_EQ(writebacks(), 1u);
+
+    load(*l1_, 4); // refresh 4: clean 8 is now LRU
+    settle();
+    load(*l1_, 12); // evicts clean 8
+    settle();
+    resident({4, 12}, {0, 8});
+    EXPECT_EQ(writebacks(), 1u);
+
+    EXPECT_TRUE(store(*l1_, 12)); // store hit dirties 12, refreshes it
+    settle();
+    load(*l1_, 16); // evicts clean 4
+    settle();
+    resident({12, 16}, {4});
+    EXPECT_EQ(writebacks(), 1u);
+
+    load(*l1_, 20); // evicts dirty 12
+    settle();
+    resident({16, 20}, {12});
+    EXPECT_EQ(writebacks(), 2u);
+    // The written-back lines landed in L2.
+    EXPECT_TRUE(l2_->isResident(0));
+    EXPECT_TRUE(l2_->isResident(12));
+
+    // A prefetched line keeps its flag until the first demand hit.
+    EXPECT_EQ(l2_->tryPrefetch(900, ReqType::HwPrefetch, 0, 0),
+              PrefetchOutcome::Started);
+    settle();
+    load(*l2_, 900);
+    settle();
+    load(*l2_, 900);
+    settle();
+    EXPECT_EQ(l2_->stats().prefetchUseful.value(), 1u);
+}
+
 TEST_F(CacheTest, PrefetchStartsAndFills)
 {
     EXPECT_EQ(l2_->tryPrefetch(500, ReqType::HwPrefetch, 0, 0),

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -513,6 +514,38 @@ TEST(Listener, SlowLorisConnectionIsReaped)
     EXPECT_TRUE(run.ok()) << run.toString();
     EXPECT_EQ(server.counter("net.conns_closed_read_timeout_total"),
               1u);
+}
+
+TEST(Listener, PipelinedFramesBehindASlowMissAreNotSlowLoris)
+{
+    // One pipelined slot and a handler slower than the read timeout:
+    // the second frame waits, complete, in the decoder while reads are
+    // paused.  That wait is the server's, not a slow client's, so the
+    // connection must survive and get both answers in order.
+    ListenerParams params;
+    params.maxPipelined = 1;
+    params.readTimeoutMs = 100;
+    params.handler = [](const std::string &line, uint64_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(400));
+        HandlerResult r;
+        r.line = "echo " + line;
+        return r;
+    };
+    TestServer server(params);
+    util::Result<BlockingClient> client =
+        BlockingClient::connectTcp("127.0.0.1", server.port());
+    ASSERT_TRUE(client.ok()) << client.status().toString();
+    ASSERT_TRUE(client->sendAll("first\nsecond\n").ok());
+    for (const char *want : {"echo first", "echo second"}) {
+        util::Result<std::string> line = client->recvLine(15000);
+        ASSERT_TRUE(line.ok()) << want << ": " << line.status().toString();
+        EXPECT_EQ(*line, want);
+    }
+
+    Status run = server.stop();
+    EXPECT_TRUE(run.ok()) << run.toString();
+    EXPECT_EQ(server.counter("net.conns_closed_read_timeout_total"),
+              0u);
 }
 
 TEST(Listener, IdleConnectionIsReaped)

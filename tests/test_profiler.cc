@@ -3,13 +3,22 @@
  * Unit tests for obs::Profiler: folding span-path aggregates into the
  * wall-clock attribution tree (inclusive/exclusive math, synthesized
  * parents, coverage, hot ranking) and the determinism contract — two
- * identical runs produce an identical tree shape.
+ * identical runs produce an identical tree shape — and the coverage
+ * contract: work fanned out to worker threads is attributed inside the
+ * span that waited for it, so coverage never exceeds 100%.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "obs/profiler.hh"
 #include "obs/span.hh"
+#include "obs/timer.hh"
+#include "test_common.hh"
+#include "util/fanout.hh"
+#include "xmem/xmem_harness.hh"
 
 using namespace lll;
 
@@ -212,4 +221,76 @@ TEST(Profiler, RenderersAreWellFormed)
         EXPECT_GE(depth, 0);
     }
     EXPECT_EQ(depth, 0);
+}
+
+TEST(Profiler, ThreadedSweepCoverageStaysWithinWall)
+{
+    // The shape of `lll profile sweep --jobs 4`: eight units on four
+    // workers under one command span.  The workers' summed time is
+    // about twice the wall, so merged beside cmd.sweep it would read
+    // as about 300% coverage.
+    obs::SpanTracker::global().reset();
+    obs::WallTimer wall;
+    {
+        obs::ScopedSpan cmd("cmd.sweep");
+        std::vector<std::vector<obs::SpanTracker::Stat>> spans(8);
+        util::fanOut(spans.size(), 4, [&](size_t i) {
+            spans[i] = obs::SpanTracker::capture([] {
+                obs::ScopedSpan stage("stage[base]");
+                obs::ScopedSpan sim("simulate");
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            });
+        });
+        for (const std::vector<obs::SpanTracker::Stat> &s : spans)
+            obs::SpanTracker::global().merge(s);
+    }
+    obs::Profiler::Report r = obs::Profiler::build(
+        obs::SpanTracker::global().stats(), wall.elapsedNs());
+    obs::SpanTracker::global().reset();
+
+    EXPECT_LE(r.coverage(), 1.0);
+    ASSERT_EQ(r.root.children.size(), 1u);
+    const obs::ProfileNode *cmd = findChild(r.root, "cmd.sweep");
+    ASSERT_NE(cmd, nullptr);
+    const obs::ProfileNode *stage = findChild(*cmd, "stage[base]");
+    ASSERT_NE(stage, nullptr);
+    EXPECT_EQ(stage->path, "cmd.sweep/stage[base]");
+    EXPECT_EQ(stage->count, 8u);
+    ASSERT_NE(findChild(*stage, "simulate"), nullptr);
+}
+
+TEST(Profiler, ParallelCharacterizationCoverageStaysWithinWall)
+{
+    // A cold characterization on four workers: the operating points
+    // simulate on worker threads and their sim.* spans land under
+    // xmem.characterize[...] inside the command span.
+    xmem::XMemHarness::Params p;
+    p.warmupUs = 2.0;
+    p.measureUs = 4.0;
+    p.windows = {1, 4, 8};
+    p.delays = {64};
+    p.jobs = 4;
+    const platforms::Platform plat = test::tinyPlatform();
+
+    obs::SpanTracker::global().reset();
+    obs::WallTimer wall;
+    {
+        obs::ScopedSpan cmd("cmd.characterize");
+        EXPECT_FALSE(xmem::XMemHarness(p).measure(plat).empty());
+    }
+    obs::Profiler::Report r = obs::Profiler::build(
+        obs::SpanTracker::global().stats(), wall.elapsedNs());
+    obs::SpanTracker::global().reset();
+
+    EXPECT_LE(r.coverage(), 1.0);
+    ASSERT_EQ(r.root.children.size(), 1u);
+    const obs::ProfileNode *cmd = findChild(r.root, "cmd.characterize");
+    ASSERT_NE(cmd, nullptr);
+    const obs::ProfileNode *xm =
+        findChild(*cmd, "xmem.characterize[" + plat.name + "]");
+    ASSERT_NE(xm, nullptr);
+    const obs::ProfileNode *measure = findChild(*xm, "sim.measure");
+    ASSERT_NE(measure, nullptr);
+    // 1 delay + 3 windows + 7 throttled + 2 windowed-streaming points.
+    EXPECT_EQ(measure->count, 13u);
 }

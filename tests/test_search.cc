@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <random>
 #include <string>
 #include <vector>
@@ -306,6 +307,23 @@ TEST_F(SearcherTest, ParallelRunIsByteIdenticalToSerial)
               searchDataJson(parallel, true));
     EXPECT_EQ(renderSearchText(serial, true),
               renderSearchText(parallel, true));
+}
+
+TEST_F(SearcherTest, ColdParallelSearchMatchesColdSerial)
+{
+    // Cold: every candidate is characterized inside the run, with its
+    // operating points spread over the runner's jobs.  The profiles and
+    // therefore the frontier and every row must not depend on that.
+    const std::string candidates =
+        std::string(std::getenv("LLL_PROFILE_DIR")) + "/candidates";
+    std::filesystem::remove_all(candidates);
+    SearchResult serial = runOk(spec(), 1);
+    std::filesystem::remove_all(candidates);
+    SearchResult parallel = runOk(spec(), 2);
+    EXPECT_GT(serial.simulated, 0u);
+    EXPECT_EQ(serial.frontier, parallel.frontier);
+    EXPECT_EQ(searchDataJson(serial, true),
+              searchDataJson(parallel, true));
 }
 
 TEST_F(SearcherTest, ExplicitPointsJoinTheSpace)

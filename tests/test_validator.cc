@@ -130,6 +130,12 @@ TEST(ValidatorTest, RejectsBankMathBelowDeclaredPeak)
     SystemParams sp = good();
     sp.mem.banksOverride = 1;
     expectRejected(sp, "banks");
+
+    // Without an override the controller rounds peak x service / line
+    // to a bank count; below half a bank it would build none.
+    sp = good();
+    sp.mem.bankServiceNs = 0.5 * sp.lineBytes / sp.mem.peakGBs * 0.9;
+    expectRejected(sp, "0 banks");
 }
 
 TEST(ValidatorTest, RejectsBadWatchdogKnobs)

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 #include "test_common.hh"
 #include "xmem/xmem_harness.hh"
@@ -126,6 +127,47 @@ TEST_F(XmemTest, CorruptCacheIsAnErrorNotASilentRemeasure)
     std::ifstream still_there(path);
     EXPECT_TRUE(still_there.good());
     std::remove(path.c_str());
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+}
+
+TEST_F(XmemTest, ParallelPointsMatchSerialByteForByte)
+{
+    XMemHarness::Params serial = fastParams();
+    XMemHarness::Params parallel = fastParams();
+    parallel.jobs = 4;
+    const std::string p1 = ::testing::TempDir() + "/jobs1.profile";
+    const std::string p4 = ::testing::TempDir() + "/jobs4.profile";
+    std::remove(p1.c_str());
+    std::remove(p4.c_str());
+
+    util::Result<LatencyProfile> a =
+        XMemHarness(serial).measureCachedChecked(plat_, p1);
+    util::Result<LatencyProfile> b =
+        XMemHarness(parallel).measureCachedChecked(plat_, p4);
+    ASSERT_TRUE(a.ok()) << a.status().toString();
+    ASSERT_TRUE(b.ok()) << b.status().toString();
+
+    // The same points, in the same order, bit for bit...
+    ASSERT_EQ(a->points().size(), b->points().size());
+    for (size_t i = 0; i < a->points().size(); ++i) {
+        EXPECT_EQ(a->points()[i].bwGBs, b->points()[i].bwGBs) << i;
+        EXPECT_EQ(a->points()[i].latencyNs, b->points()[i].latencyNs)
+            << i;
+    }
+    // ...and identical bytes on disk.
+    const std::string bytes = slurp(p1);
+    EXPECT_FALSE(bytes.empty());
+    EXPECT_EQ(bytes, slurp(p4));
+    std::remove(p1.c_str());
+    std::remove(p4.c_str());
 }
 
 TEST(XmemPathTest, DefaultPathUsesEnvOrDefault)
