@@ -42,10 +42,11 @@
  * 128-bit word plus a slot index into a recycled callback arena, so a
  * sift moves small trivially-copyable keys instead of closures.  When
  * the window empties it jumps to the heap's earliest tick and drains
- * every now-in-window event back into buckets.  Within one tick,
- * dispatch sorts the tick's bucket by (priority, tie) and invokes it
- * as a batch, re-merging whenever a callback schedules new same-tick
- * work that could order before a later priority class.
+ * every now-in-window event back into buckets.  A tick holding more
+ * than one event is sorted once, as 24-byte (priority, tie, index)
+ * keys, and each closure runs where it sits; same-tick work scheduled
+ * meanwhile goes to a small late-arrival heap, and dispatch always
+ * runs the smaller of the two heads.
  */
 
 #ifndef LLL_SIM_EVENT_QUEUE_HH
@@ -62,6 +63,10 @@
 
 #include "util/logging.hh"
 #include "util/stats.hh"
+
+#if !defined(__SIZEOF_INT128__)
+#error "the overflow heap packs (tick, priority) into unsigned __int128"
+#endif
 
 namespace lll::sim
 {
@@ -310,8 +315,8 @@ class EventQueue
      * A callback may schedule at the tick it is running in, but only
      * at a priority >= its own class: within a tick, bands progress
      * forward (a fill may queue thread work, never another fill ahead
-     * of pending fills).  That discipline is what lets dispatch batch
-     * a whole priority class, and it is asserted here.
+     * of pending fills).  That discipline is what lets dispatch sort
+     * a tick once, and it is asserted here.
      */
     template <typename F>
     void
@@ -373,9 +378,8 @@ class EventQueue
      * scan jumps straight to the next busy tick, and an empty window
      * jumps straight to the heap's earliest event, so a sparse
      * schedule costs per *event*, never per idle tick.  Within one
-     * tick, the bucket is sorted by (priority, tie) and dispatched as
-     * a batch; new same-tick work landing during the batch is merged
-     * in priority order before any later class runs.
+     * tick, events run in strict (priority, tie) order, including
+     * same-tick work scheduled while the tick is being dispatched.
      *
      * A stop latched by requestStop() — during a callback *or* between
      * runs — makes this return true immediately, once.
@@ -449,7 +453,6 @@ class EventQueue
     size_t pending() const { return wheelCount_ + heap_.size(); }
 
   private:
-#if defined(__SIZEOF_INT128__)
     /** (when << 64) | prio: one wide compare orders time, then band. */
     using WhenPrio = unsigned __int128;
 
@@ -470,38 +473,6 @@ class EventQueue
     {
         return static_cast<uint64_t>(wp);
     }
-#else
-    struct WhenPrio
-    {
-        uint64_t when;
-        uint64_t prio;
-
-        bool
-        operator==(const WhenPrio &o) const
-        {
-            return when == o.when && prio == o.prio;
-        }
-
-        bool
-        operator!=(const WhenPrio &o) const { return !(*this == o); }
-
-        bool
-        operator<(const WhenPrio &o) const
-        {
-            return when != o.when ? when < o.when : prio < o.prio;
-        }
-    };
-
-    static constexpr WhenPrio
-    packKey(Tick when, uint64_t prio)
-    {
-        return WhenPrio{when, prio};
-    }
-
-    static constexpr Tick keyWhen(WhenPrio wp) { return wp.when; }
-
-    static constexpr uint64_t keyPrio(WhenPrio wp) { return wp.prio; }
-#endif
 
     static constexpr Tick kWheelMask = kWheelTicks - 1;
     static_assert((kWheelTicks & kWheelMask) == 0,
@@ -524,15 +495,28 @@ class EventQueue
             : prio(p), tie(t), fn(std::forward<F>(f))
         {
         }
+    };
 
-        Pending(Pending &&) noexcept = default;
-        Pending &operator=(Pending &&) noexcept = default;
+    /** Sort key of one same-tick event: its order plus its index into
+     *  batch_ (or, for a late arrival, into the tick's bucket). */
+    struct Key
+    {
+        uint64_t prio;
+        uint64_t tie;
+        size_t index;
     };
 
     static bool
-    pendingBefore(const Pending &a, const Pending &b)
+    keyBefore(const Key &a, const Key &b)
     {
         return a.prio != b.prio ? a.prio < b.prio : a.tie < b.tie;
+    }
+
+    /** Heap comparator: makes late_ a min-heap on (prio, tie). */
+    static bool
+    keyAfter(const Key &a, const Key &b)
+    {
+        return keyBefore(b, a);
     }
 
     /**
@@ -669,19 +653,8 @@ class EventQueue
         }
     }
 
-    /** Return batch_[from..] to the tick's bucket (uninvoked work). */
-    void
-    spillBack(std::vector<Pending> &bucket, size_t slot, size_t from)
-    {
-        for (size_t j = from; j < batch_.size(); ++j)
-            bucket.push_back(std::move(batch_[j]));
-        wheelCount_ += batch_.size() - from;
-        if (!bucket.empty())
-            markOccupied(slot);
-    }
-
     /**
-     * Dispatch every event at the current tick, sorted by (prio, tie).
+     * Dispatch every event at the current tick in (prio, tie) order.
      * Returns true if a callback requested a stop; the uninvoked
      * remainder is back in the bucket.
      */
@@ -705,38 +678,60 @@ class EventQueue
             if (bucket.empty())
                 return false;
         }
-        for (;;) {
-            batch_.swap(bucket);
-            markEmpty(slot);
-            wheelCount_ -= batch_.size();
-            if (batch_.size() > 1)
-                std::sort(batch_.begin(), batch_.end(), pendingBefore);
-            bool remerge = false;
-            for (size_t i = 0; i < batch_.size(); ++i) {
-                if (i != 0 && !bucket.empty() &&
-                    batch_[i].prio != batch_[i - 1].prio) {
-                    // A callback scheduled same-tick work; it may sort
-                    // before this next class, so fold the remainder
-                    // back in and re-sort everything together.
-                    spillBack(bucket, slot, i);
-                    remerge = true;
-                    break;
-                }
-                batchPrio_ = batch_[i].prio;
-                ++processed_;
-                batch_[i].fn();
-                if (stopRequested_) {
-                    spillBack(bucket, slot, i + 1);
-                    batch_.clear();
-                    return true;
-                }
+        // Batch: sort small keys once; each closure runs where it sits
+        // in batch_.  Same-tick arrivals land in the emptied bucket and
+        // are keyed into late_ as soon as their scheduler returns.
+        batch_.swap(bucket);
+        keys_.clear();
+        for (size_t i = 0; i < batch_.size(); ++i)
+            keys_.push_back(Key{batch_[i].prio, batch_[i].tie, i});
+        std::sort(keys_.begin(), keys_.end(), keyBefore);
+        size_t next = 0;
+        for (size_t seen = 0; !stopRequested_;) {
+            for (; seen < bucket.size(); ++seen) {
+                late_.push_back(Key{bucket[seen].prio, bucket[seen].tie, seen});
+                std::push_heap(late_.begin(), late_.end(), keyAfter);
             }
-            batch_.clear();
-            // Same-tick arrivals at or above the last class run now,
-            // still inside this tick.
-            if (!remerge && bucket.empty())
-                return false;
+            const bool batchDone = next == keys_.size();
+            const bool late = !late_.empty() &&
+                              (batchDone ||
+                               keyBefore(late_.front(), keys_[next]));
+            if (!late && batchDone)
+                break;
+            --wheelCount_;
+            ++processed_;
+            if (late) {
+                std::pop_heap(late_.begin(), late_.end(), keyAfter);
+                batchPrio_ = late_.back().prio;
+                // Moved out: the callback may grow the bucket.
+                EventFn fn = std::move(bucket[late_.back().index].fn);
+                late_.pop_back();
+                fn();
+            } else {
+                batchPrio_ = keys_[next].prio;
+                batch_[keys_[next++].index].fn();
+            }
         }
+        const bool stopped = stopRequested_;
+        if (stopped) {
+            // Keep the uninvoked remainder (late arrivals not yet run
+            // and the batch's tail) in the bucket; the next run sorts
+            // it again and resumes at exactly the next event.
+            std::erase_if(bucket, [](const Pending &p) { return !p.fn; });
+            for (; next < keys_.size(); ++next)
+                bucket.push_back(std::move(batch_[keys_[next].index]));
+        } else {
+            // The slot takes its own buffer back and batch_ its scratch
+            // one: a buffer that wandered from slot to slot would make
+            // each slot it left grow a new one.
+            bucket.swap(batch_);
+            bucket.clear();
+        }
+        batch_.clear();
+        if (bucket.empty())
+            markEmpty(slot);
+        late_.clear();
+        return stopped;
     }
 
     static constexpr size_t kWords = kWheelTicks / 64;
@@ -749,6 +744,8 @@ class EventQueue
     std::vector<EventFn> slots_;     //!< callback arena, indexed by Node
     std::vector<uint32_t> freeSlots_;
     std::vector<Pending> batch_;     //!< tick currently dispatching
+    std::vector<Key> keys_;          //!< batch_ in (prio, tie) order
+    std::vector<Key> late_;          //!< min-heap of same-tick arrivals
     Tick now_ = 0;
     uint64_t seq_ = 0;
     uint64_t tieSeed_ = 0;

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -290,6 +294,199 @@ TEST(EventQueueTest, SameTickBandsProgressDuringDispatch)
                 [&] { order.push_back(4); });
     eq.runUntil(42);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(EventQueueTest, PendingCountsRestOfBatchedTick)
+{
+    // A callback inside a same-tick batch must see the rest of its tick
+    // (and any same-tick work it queued) as pending.
+    EventQueue eq;
+    std::vector<size_t> seen;
+    for (int i = 0; i < 2; ++i)
+        eq.schedule(42, [&] { seen.push_back(eq.pending()); });
+    eq.schedule(42, schedPrio(SchedBand::Housekeeping), [&] {
+        eq.scheduleIn(0, schedPrio(SchedBand::Housekeeping),
+                      [&] { seen.push_back(eq.pending()); });
+        seen.push_back(eq.pending());
+    });
+    eq.runUntil(100);
+    EXPECT_EQ(seen, (std::vector<size_t>{2, 1, 1, 0}));
+    EXPECT_EQ(eq.pending(), 0u);
+}
+
+/** The documented tie key of the @p seq-th schedule under @p seed. */
+uint64_t
+tieOf(uint64_t seq, uint64_t seed)
+{
+    return seed == 0 ? seq : schedMix64(seq ^ seed);
+}
+
+/** Records the (prio, tie) of every event it dispatches. */
+struct TieRecorder
+{
+    EventQueue eq;
+    uint64_t seed;
+    uint64_t seq = 0;
+    std::vector<std::pair<uint64_t, uint64_t>> ran;
+
+    explicit TieRecorder(uint64_t s) : seed(s) { eq.setTieBreakSeed(s); }
+
+    /** Schedule an event that, if @p child is nonzero, queues a
+     *  same-tick event at priority @p child when it runs. */
+    void
+    add(Tick when, uint64_t prio, uint64_t child)
+    {
+        const uint64_t tie = tieOf(seq++, seed);
+        eq.schedule(when, prio, [this, prio, tie, child] {
+            ran.emplace_back(prio, tie);
+            if (child != 0)
+                add(eq.now(), child, 0);
+        });
+    }
+};
+
+TEST(EventQueueTest, SameTickArrivalsMergeInPrioTieOrder)
+{
+    // k fill-band events each queue a same-tick Thread-band event; the
+    // whole tick must run in (prio, tie) order under any seed.
+    constexpr size_t kFills = 9;
+    for (uint64_t seed : {uint64_t{0}, uint64_t{0x9e3779b97f4a7c15ULL}}) {
+        TieRecorder r(seed);
+        for (size_t i = 0; i < kFills; ++i) {
+            r.add(42, schedPrio(SchedBand::Fill),
+                  schedPrio(SchedBand::Thread, 1));
+        }
+        r.eq.runUntil(42);
+        ASSERT_EQ(r.ran.size(), 2 * kFills) << "seed " << seed;
+        EXPECT_TRUE(std::is_sorted(r.ran.begin(), r.ran.end()))
+            << "seed " << seed;
+    }
+}
+
+/**
+ * Randomized differential test: a self-spawning event program run on
+ * EventQueue must dispatch in the same order as a reference queue that
+ * always pops the least (tick, prio, tie).  Events spawn same-tick work
+ * (at or above their own priority) and near-future work, and every
+ * 29th event stops the run right after queueing a same-tick arrival,
+ * so resumption from the middle of a tick is exercised too.
+ */
+struct EventProgram
+{
+    static constexpr int kLimit = 4000;
+    static constexpr int kInitial = 60;
+
+    static bool stops(int id) { return id % 29 == 17; }
+
+    /** Few distinct priorities, so equal-(tick, prio) ties are common. */
+    static uint64_t
+    prioAt(uint64_t h)
+    {
+        return schedPrio(static_cast<SchedBand>(1 + h % 5), (h >> 3) % 2);
+    }
+
+    /** The initial events as (when, prio) pairs. */
+    static std::vector<std::pair<Tick, uint64_t>>
+    initial()
+    {
+        std::vector<std::pair<Tick, uint64_t>> out;
+        for (int i = 0; i < kInitial; ++i) {
+            const uint64_t h = schedMix64(static_cast<uint64_t>(i));
+            out.emplace_back(h % 8, prioAt(h >> 8));
+        }
+        return out;
+    }
+
+    /** What event @p id, running at (@p now, @p prio), schedules; a
+     *  pure function of its arguments. */
+    static std::vector<std::pair<Tick, uint64_t>>
+    spawns(int id, Tick now, uint64_t prio)
+    {
+        std::vector<std::pair<Tick, uint64_t>> out;
+        uint64_t h = schedMix64(static_cast<uint64_t>(id) * 0x51ed27);
+        const int n = static_cast<int>(h % 3) + (stops(id) ? 1 : 0);
+        for (int k = 0; k < n; ++k) {
+            h = schedMix64(h);
+            const bool sameTick = (h & 1) != 0 || (stops(id) && k == 0);
+            const uint64_t p = prioAt(h >> 8);
+            if (sameTick)
+                out.emplace_back(now, std::max(p, prio));
+            else
+                out.emplace_back(now + 1 + (h >> 4) % 4, p);
+        }
+        return out;
+    }
+};
+
+/** Runs EventProgram on EventQueue, counting the stops it honours. */
+struct ProgramRunner
+{
+    EventQueue eq;
+    std::vector<int> order;
+    int nextId = 0;
+
+    void
+    sched(Tick when, uint64_t prio)
+    {
+        const int id = nextId++;
+        eq.schedule(when, prio, [this, id, prio] {
+            order.push_back(id);
+            if (nextId >= EventProgram::kLimit)
+                return;
+            for (auto [w, p] : EventProgram::spawns(id, eq.now(), prio))
+                sched(w, p);
+            if (EventProgram::stops(id))
+                eq.requestStop();
+        });
+    }
+};
+
+std::vector<int>
+referenceOrder(uint64_t seed)
+{
+    // (tick, prio, tie, id); ids are assigned in schedule order, so an
+    // id is also the sequence number behind its tie key.
+    std::set<std::tuple<Tick, uint64_t, uint64_t, int>> q;
+    std::vector<int> order;
+    int nextId = 0;
+    auto sched = [&](Tick when, uint64_t prio) {
+        const int id = nextId++;
+        q.emplace(when, prio, tieOf(static_cast<uint64_t>(id), seed), id);
+    };
+    for (auto [w, p] : EventProgram::initial())
+        sched(w, p);
+    while (!q.empty()) {
+        const auto [when, prio, tie, id] = *q.begin();
+        q.erase(q.begin());
+        order.push_back(id);
+        if (nextId < EventProgram::kLimit) {
+            for (auto [w, p] : EventProgram::spawns(id, when, prio))
+                sched(w, p);
+        }
+    }
+    return order;
+}
+
+TEST(EventQueueTest, MatchesReferenceOrderWithSpawnsAndStops)
+{
+    for (uint64_t seed : {uint64_t{0}, uint64_t{0x9e3779b97f4a7c15ULL},
+                          uint64_t{0xc0ffee42c0ffee42ULL}}) {
+        ProgramRunner run;
+        run.eq.setTieBreakSeed(seed);
+        for (auto [w, p] : EventProgram::initial())
+            run.sched(w, p);
+        int stops = 0;
+        while (run.eq.runUntil(Tick{1} << 30)) {
+            // Every stop leaves at least the same-tick arrival queued
+            // just before it; the resumed run must start with it.
+            EXPECT_GT(run.eq.pending(), 0u);
+            ++stops;
+        }
+        const std::vector<int> want = referenceOrder(seed);
+        EXPECT_GT(stops, 10) << "seed " << seed;
+        EXPECT_GT(want.size(), 1000u) << "seed " << seed;
+        EXPECT_EQ(run.order, want) << "seed " << seed;
+    }
 }
 
 TEST(EventQueueDeathTest, SeedAfterFirstEventPanics)
