@@ -70,6 +70,19 @@ if(NOT got EQUAL 0)
             "got ${got}")
 endif()
 
+# `lll help` indexes every subcommand.
+execute_process(COMMAND ${LLL_BIN} help
+                RESULT_VARIABLE got OUTPUT_VARIABLE index ERROR_QUIET)
+foreach(cmd platforms workloads vendors characterize analyze trace walk
+            table sweep reproduce roofline selftest lint audit serve
+            bench-serve search profile bench)
+    if(NOT index MATCHES "[\n ]${cmd}[\n ]")
+        message(FATAL_ERROR
+                "lll help: command index does not list ${cmd}:\n"
+                "${index}")
+    endif()
+endforeach()
+
 # The bare forms print the command index and exit 0.
 foreach(form help --help -h)
     execute_process(COMMAND ${LLL_BIN} ${form}
