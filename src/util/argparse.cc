@@ -1,6 +1,8 @@
 #include "util/argparse.hh"
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <sstream>
 
@@ -29,40 +31,46 @@ void ArgParser::record(const std::string &flag, const char *metavar,
     flags_.push_back({flag, metavar, help, repeatable});
 }
 
-util::Result<size_t> ArgParser::findOnce(const std::string &flag) const
+void ArgParser::fail(Status error)
+{
+    if (error_.ok())
+        error_ = std::move(error);
+}
+
+size_t ArgParser::findOnce(const std::string &flag)
 {
     size_t found = args_.size();
     for (size_t i = 0; i < args_.size(); ++i) {
         if (args_[i] != flag)
             continue;
         if (found != args_.size()) {
-            return Status::error(ErrorCode::InvalidArgument,
-                                 "%s given more than once", flag.c_str());
+            fail(Status::error(ErrorCode::InvalidArgument,
+                               "%s given more than once", flag.c_str()));
+            return args_.size();
         }
         found = i;
     }
     return found;
 }
 
-util::Result<std::string> ArgParser::extractValue(const std::string &flag)
+std::string ArgParser::extractValue(const std::string &flag)
 {
-    util::Result<size_t> at = findOnce(flag);
-    if (!at.ok())
-        return at.status();
-    if (*at == args_.size())
+    const size_t at = findOnce(flag);
+    if (at == args_.size())
         return std::string();
-    if (*at + 1 >= args_.size()) {
-        return Status::error(ErrorCode::InvalidArgument,
-                             "%s needs an argument", flag.c_str());
+    if (at + 1 >= args_.size()) {
+        fail(Status::error(ErrorCode::InvalidArgument,
+                           "%s needs an argument", flag.c_str()));
+        return std::string();
     }
-    std::string value = args_[*at + 1];
-    args_.erase(args_.begin() + static_cast<long>(*at),
-                args_.begin() + static_cast<long>(*at) + 2);
+    std::string value = args_[at + 1];
+    args_.erase(args_.begin() + static_cast<long>(at),
+                args_.begin() + static_cast<long>(at) + 2);
     return value;
 }
 
-util::Result<std::string> ArgParser::stringFlag(const std::string &flag,
-                                                const char *help)
+std::string ArgParser::stringFlag(const std::string &flag,
+                                  const char *help)
 {
     record(flag, "S", help, false);
     if (helpRequested_)
@@ -70,8 +78,8 @@ util::Result<std::string> ArgParser::stringFlag(const std::string &flag,
     return extractValue(flag);
 }
 
-util::Result<std::vector<std::string>>
-ArgParser::stringList(const std::string &flag, const char *help)
+std::vector<std::string> ArgParser::stringList(const std::string &flag,
+                                               const char *help)
 {
     record(flag, "S", help, true);
     std::vector<std::string> values;
@@ -83,8 +91,9 @@ ArgParser::stringList(const std::string &flag, const char *help)
             continue;
         }
         if (i + 1 >= args_.size()) {
-            return Status::error(ErrorCode::InvalidArgument,
-                                 "%s needs an argument", flag.c_str());
+            fail(Status::error(ErrorCode::InvalidArgument,
+                               "%s needs an argument", flag.c_str()));
+            break;
         }
         values.push_back(args_[i + 1]);
         args_.erase(args_.begin() + static_cast<long>(i),
@@ -93,83 +102,79 @@ ArgParser::stringList(const std::string &flag, const char *help)
     return values;
 }
 
-util::Result<int> ArgParser::intFlag(const std::string &flag, int fallback,
-                                     const char *help)
+int ArgParser::intFlag(const std::string &flag, int fallback,
+                       const char *help)
 {
     record(flag, "N", help, false);
     if (helpRequested_)
         return fallback;
-    util::Result<std::string> raw = extractValue(flag);
-    if (!raw.ok())
-        return raw.status();
-    if (raw->empty())
+    const std::string raw = extractValue(flag);
+    if (raw.empty())
         return fallback;
     char *end = nullptr;
-    const long n = std::strtol(raw->c_str(), &end, 10);
-    if (*end != '\0' || n < 1) {
-        return Status::error(ErrorCode::InvalidArgument,
-                             "%s wants a positive integer, got '%s'",
-                             flag.c_str(), raw->c_str());
+    errno = 0;
+    const long n = std::strtol(raw.c_str(), &end, 10);
+    if (*end != '\0' || errno == ERANGE || n < 1 || n > INT_MAX) {
+        fail(Status::error(ErrorCode::InvalidArgument,
+                           "%s wants a positive integer, got '%s'",
+                           flag.c_str(), raw.c_str()));
+        return fallback;
     }
     return static_cast<int>(n);
 }
 
-util::Result<uint64_t> ArgParser::uint64Flag(const std::string &flag,
-                                             uint64_t fallback,
-                                             const char *help)
+uint64_t ArgParser::uint64Flag(const std::string &flag, uint64_t fallback,
+                               const char *help)
 {
     record(flag, "N", help, false);
     if (helpRequested_)
         return fallback;
-    util::Result<std::string> raw = extractValue(flag);
-    if (!raw.ok())
-        return raw.status();
-    if (raw->empty())
+    const std::string raw = extractValue(flag);
+    if (raw.empty())
         return fallback;
     char *end = nullptr;
-    const unsigned long long n = std::strtoull(raw->c_str(), &end, 10);
-    if (raw->empty() || *end != '\0') {
-        return Status::error(ErrorCode::InvalidArgument,
-                             "%s wants an unsigned integer, got '%s'",
-                             flag.c_str(), raw->c_str());
+    errno = 0;
+    const unsigned long long n = std::strtoull(raw.c_str(), &end, 10);
+    // strtoull negates a '-' prefixed value instead of rejecting it.
+    if (*end != '\0' || errno == ERANGE ||
+        raw.find('-') != std::string::npos) {
+        fail(Status::error(ErrorCode::InvalidArgument,
+                           "%s wants an unsigned integer, got '%s'",
+                           flag.c_str(), raw.c_str()));
+        return fallback;
     }
     return static_cast<uint64_t>(n);
 }
 
-util::Result<double> ArgParser::doubleFlag(const std::string &flag,
-                                           double fallback,
-                                           const char *help)
+double ArgParser::doubleFlag(const std::string &flag, double fallback,
+                             const char *help)
 {
     record(flag, "X", help, false);
     if (helpRequested_)
         return fallback;
-    util::Result<std::string> raw = extractValue(flag);
-    if (!raw.ok())
-        return raw.status();
-    if (raw->empty())
+    const std::string raw = extractValue(flag);
+    if (raw.empty())
         return fallback;
     char *end = nullptr;
-    const double v = std::strtod(raw->c_str(), &end);
+    const double v = std::strtod(raw.c_str(), &end);
     if (*end != '\0' || !(v >= 0.0) || v > 1e300) {
-        return Status::error(ErrorCode::InvalidArgument,
-                             "%s wants a non-negative number, got '%s'",
-                             flag.c_str(), raw->c_str());
+        fail(Status::error(ErrorCode::InvalidArgument,
+                           "%s wants a non-negative number, got '%s'",
+                           flag.c_str(), raw.c_str()));
+        return fallback;
     }
     return v;
 }
 
-util::Result<bool> ArgParser::boolFlag(const std::string &flag,
-                                       const char *help)
+bool ArgParser::boolFlag(const std::string &flag, const char *help)
 {
     record(flag, nullptr, help, false);
     if (helpRequested_)
         return false;
-    util::Result<size_t> at = findOnce(flag);
-    if (!at.ok())
-        return at.status();
-    if (*at == args_.size())
+    const size_t at = findOnce(flag);
+    if (at == args_.size())
         return false;
-    args_.erase(args_.begin() + static_cast<long>(*at));
+    args_.erase(args_.begin() + static_cast<long>(at));
     return true;
 }
 

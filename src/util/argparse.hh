@@ -20,6 +20,12 @@
  * the CLI's usage exit code (2) — so `--jobs`, `--cache-dir`,
  * `--json`, `--cores` behave identically across every subcommand.
  *
+ * Flag errors are sticky: an accessor that meets one returns its
+ * fallback and the parser keeps the *first* error, so a subcommand
+ * reads every flag straight into a local and checks status() once,
+ * after the last accessor.  Registration order is therefore also the
+ * precedence of errors.
+ *
  * The parser is also the single source of `--help` truth: the
  * constructor strips `--help` / `-h`, every accessor registers its
  * flag (name, value shape, one-line help), and helpText() renders the
@@ -53,16 +59,10 @@ struct FlagInfo
 class ArgParser
 {
   public:
-    /** Parse over @p args (typically argv[first..argc)).  `--help` /
-     *  `-h` anywhere in the list is stripped and latched. */
+    /** Parse over @p args.  `--help` / `-h` anywhere in the list is
+     *  stripped and latched. */
     explicit ArgParser(std::vector<std::string> args)
         : args_(std::move(args))
-    {
-        stripHelp();
-    }
-
-    ArgParser(int argc, char **argv, int first)
-        : args_(argv + (first < argc ? first : argc), argv + argc)
     {
         stripHelp();
     }
@@ -71,28 +71,28 @@ class ArgParser
      * Extract `FLAG VALUE`; empty string when the flag is absent.
      * Errors on a missing value or a repeated flag.
      */
-    [[nodiscard]] util::Result<std::string> stringFlag(const std::string &flag,
+    [[nodiscard]] std::string stringFlag(const std::string &flag,
                                          const char *help = nullptr);
 
     /**
      * Extract every `FLAG VALUE` occurrence, in argument order
      * (repeatable flags: "--axis a=1,2 --axis b=3,4").
      */
-    [[nodiscard]] util::Result<std::vector<std::string>>
+    [[nodiscard]] std::vector<std::string>
     stringList(const std::string &flag, const char *help = nullptr);
 
     /**
-     * Extract `FLAG N` as a strictly positive integer; @p fallback
-     * when absent ("--jobs", "--cores", "--iterations"...).
+     * Extract `FLAG N` as a strictly positive `int`; @p fallback when
+     * absent ("--jobs", "--cores", "--iterations"...).
      */
-    [[nodiscard]] util::Result<int> intFlag(const std::string &flag, int fallback,
+    [[nodiscard]] int intFlag(const std::string &flag, int fallback,
                               const char *help = nullptr);
 
     /**
      * Extract `FLAG N` as an unsigned 64-bit value; @p fallback when
-     * absent ("--seed").
+     * absent ("--seed").  A sign or an out-of-range value is an error.
      */
-    [[nodiscard]] util::Result<uint64_t> uint64Flag(const std::string &flag,
+    [[nodiscard]] uint64_t uint64Flag(const std::string &flag,
                                       uint64_t fallback,
                                       const char *help = nullptr);
 
@@ -100,13 +100,16 @@ class ArgParser
      * Extract `FLAG X` as a finite non-negative double; @p fallback
      * when absent ("--tolerance", "--measure-ms").
      */
-    [[nodiscard]] util::Result<double> doubleFlag(const std::string &flag,
+    [[nodiscard]] double doubleFlag(const std::string &flag,
                                     double fallback,
                                     const char *help = nullptr);
 
     /** Extract a bare `FLAG`; false when absent, error on repeats. */
-    [[nodiscard]] util::Result<bool> boolFlag(const std::string &flag,
+    [[nodiscard]] bool boolFlag(const std::string &flag,
                                 const char *help = nullptr);
+
+    /** The first flag error any accessor met; ok when there was none. */
+    const util::Status &status() const { return error_; }
 
     /** Positional operands left after flag extraction. */
     const std::vector<std::string> &rest() const { return args_; }
@@ -126,9 +129,6 @@ class ArgParser
      *  has run (registration is what fills the help text). */
     bool helpRequested() const { return helpRequested_; }
 
-    /** Every flag registered so far, in registration order. */
-    const std::vector<FlagInfo> &flags() const { return flags_; }
-
     /**
      * The one shared help format: "usage: lll <usage_tail>" plus one
      * line per registered flag.  @p summary is the subcommand's
@@ -138,14 +138,16 @@ class ArgParser
                          const std::string &summary = "") const;
 
   private:
-    [[nodiscard]] util::Result<size_t> findOnce(const std::string &flag) const;
-    [[nodiscard]] util::Result<std::string> extractValue(const std::string &flag);
+    size_t findOnce(const std::string &flag);
+    std::string extractValue(const std::string &flag);
+    void fail(util::Status error);
     void stripHelp();
     void record(const std::string &flag, const char *metavar,
                 const char *help, bool repeatable);
 
     std::vector<std::string> args_;
     std::vector<FlagInfo> flags_;
+    util::Status error_;
     bool helpRequested_ = false;
 };
 

@@ -385,15 +385,10 @@ TEST(ArgParserTest, ExtractsFlagsInAnyOrderLeavingPositionals)
 {
     util::ArgParser ap({"isx", "--jobs", "4", "skl", "--json", "out",
                         "vect", "--cores", "8"});
-    util::Result<std::string> json = ap.stringFlag("--json");
-    ASSERT_TRUE(json.ok());
-    EXPECT_EQ(*json, "out");
-    util::Result<int> jobs = ap.intFlag("--jobs", 1);
-    ASSERT_TRUE(jobs.ok());
-    EXPECT_EQ(*jobs, 4);
-    util::Result<int> cores = ap.intFlag("--cores", 0);
-    ASSERT_TRUE(cores.ok());
-    EXPECT_EQ(*cores, 8);
+    EXPECT_EQ(ap.stringFlag("--json"), "out");
+    EXPECT_EQ(ap.intFlag("--jobs", 1), 4);
+    EXPECT_EQ(ap.intFlag("--cores", 0), 8);
+    ASSERT_TRUE(ap.status().ok());
     ASSERT_EQ(ap.rest().size(), 3u);
     EXPECT_EQ(ap.rest()[0], "isx");
     EXPECT_EQ(ap.rest()[1], "skl");
@@ -405,18 +400,11 @@ TEST(ArgParserTest, ExtractsFlagsInAnyOrderLeavingPositionals)
 TEST(ArgParserTest, AbsentFlagsFallBack)
 {
     util::ArgParser ap({});
-    util::Result<std::string> s = ap.stringFlag("--batch");
-    ASSERT_TRUE(s.ok());
-    EXPECT_TRUE(s->empty());
-    util::Result<int> i = ap.intFlag("--jobs", 7);
-    ASSERT_TRUE(i.ok());
-    EXPECT_EQ(*i, 7);
-    util::Result<uint64_t> u = ap.uint64Flag("--seed", 11);
-    ASSERT_TRUE(u.ok());
-    EXPECT_EQ(*u, 11u);
-    util::Result<bool> b = ap.boolFlag("--json");
-    ASSERT_TRUE(b.ok());
-    EXPECT_FALSE(*b);
+    EXPECT_TRUE(ap.stringFlag("--batch").empty());
+    EXPECT_EQ(ap.intFlag("--jobs", 7), 7);
+    EXPECT_EQ(ap.uint64Flag("--seed", 11), 11u);
+    EXPECT_FALSE(ap.boolFlag("--json"));
+    EXPECT_TRUE(ap.status().ok());
     EXPECT_TRUE(ap.finish().ok());
 }
 
@@ -424,31 +412,32 @@ TEST(ArgParserTest, MissingValueRepeatsAndLeftoversAreUsageErrors)
 {
     {
         util::ArgParser ap({"--json"});
-        util::Result<std::string> r = ap.stringFlag("--json");
+        (void)ap.stringFlag("--json");
+        const util::Status &r = ap.status();
         ASSERT_FALSE(r.ok());
-        EXPECT_EQ(r.status().code(), util::ErrorCode::InvalidArgument);
-        EXPECT_NE(r.status().message().find("--json needs an argument"),
+        EXPECT_EQ(r.code(), util::ErrorCode::InvalidArgument);
+        EXPECT_NE(r.message().find("--json needs an argument"),
                   std::string::npos)
-            << r.status().message();
+            << r.message();
     }
     {
         util::ArgParser ap({"--jobs", "2", "--jobs", "3"});
-        util::Result<int> r = ap.intFlag("--jobs", 1);
-        ASSERT_FALSE(r.ok());
-        EXPECT_NE(r.status().message().find("given more than once"),
+        (void)ap.intFlag("--jobs", 1);
+        ASSERT_FALSE(ap.status().ok());
+        EXPECT_NE(ap.status().message().find("given more than once"),
                   std::string::npos);
     }
     {
         util::ArgParser ap({"--jobs", "zero"});
-        util::Result<int> r = ap.intFlag("--jobs", 1);
-        ASSERT_FALSE(r.ok());
-        EXPECT_NE(r.status().message().find("positive integer"),
+        (void)ap.intFlag("--jobs", 1);
+        ASSERT_FALSE(ap.status().ok());
+        EXPECT_NE(ap.status().message().find("positive integer"),
                   std::string::npos);
     }
     {
         util::ArgParser ap({"--jobs", "0"});
-        util::Result<int> r = ap.intFlag("--jobs", 1);
-        EXPECT_FALSE(r.ok());
+        (void)ap.intFlag("--jobs", 1);
+        EXPECT_FALSE(ap.status().ok());
     }
     {
         util::ArgParser ap({"--bogus"});
@@ -464,6 +453,49 @@ TEST(ArgParserTest, MissingValueRepeatsAndLeftoversAreUsageErrors)
         EXPECT_NE(s.message().find("unexpected argument 'stray'"),
                   std::string::npos);
     }
+}
+
+TEST(ArgParserTest, FirstFlagErrorSticksAndLaterFlagsStillParse)
+{
+    util::ArgParser ap({"--jobs", "0", "--seed", "x", "--json", "out"});
+    EXPECT_EQ(ap.intFlag("--jobs", 3), 3); // fallback on error
+    EXPECT_EQ(ap.uint64Flag("--seed", 5), 5u);
+    EXPECT_EQ(ap.stringFlag("--json"), "out");
+    ASSERT_FALSE(ap.status().ok());
+    EXPECT_NE(ap.status().message().find("--jobs wants a positive integer"),
+              std::string::npos)
+        << ap.status().message();
+}
+
+TEST(ArgParserTest, IntFlagRejectsValuesOutsideInt)
+{
+    for (const char *raw : {"9999999999999999999", "2147483648",
+                            "4294967297", "99999999999999999999"}) {
+        util::ArgParser ap({"--jobs", raw});
+        EXPECT_EQ(ap.intFlag("--jobs", 1), 1) << raw;
+        ASSERT_FALSE(ap.status().ok()) << raw;
+        EXPECT_EQ(ap.status().code(), util::ErrorCode::InvalidArgument);
+        EXPECT_NE(ap.status().message().find("positive integer"),
+                  std::string::npos);
+    }
+    util::ArgParser ap({"--jobs", "2147483647"});
+    EXPECT_EQ(ap.intFlag("--jobs", 1), 2147483647);
+    EXPECT_TRUE(ap.status().ok());
+}
+
+TEST(ArgParserTest, Uint64FlagRejectsSignsAndOverflow)
+{
+    for (const char *raw : {"-1", "-0", " -5", "18446744073709551616",
+                            "99999999999999999999"}) {
+        util::ArgParser ap({"--spill-budget", raw});
+        EXPECT_EQ(ap.uint64Flag("--spill-budget", 0), 0u) << raw;
+        ASSERT_FALSE(ap.status().ok()) << raw;
+        EXPECT_NE(ap.status().message().find("unsigned integer"),
+                  std::string::npos);
+    }
+    util::ArgParser ap({"--seed", "18446744073709551615"});
+    EXPECT_EQ(ap.uint64Flag("--seed", 0), UINT64_MAX);
+    EXPECT_TRUE(ap.status().ok());
 }
 
 // --- json parser --------------------------------------------------------

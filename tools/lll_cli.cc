@@ -2,27 +2,7 @@
  * @file
  * The `lll` command-line driver: the library's capabilities behind one
  * binary, the way a user of the paper's method would consume them.
- *
- *   lll platforms                         list platforms (Table III)
- *   lll workloads                         list workload models (Table II)
- *   lll characterize <plat> [--fresh]     X-Mem profile (cached)
- *   lll analyze <wl> <plat> [opts...]     one variant: analysis + recipe
- *   lll trace <wl> <plat> [opts...]       run with telemetry + tracer
- *   lll walk <wl> <plat>                  recipe loop to convergence
- *   lll table <wl>                        the paper-table rows for <wl>
- *   lll sweep                             every workload x platform walk
- *   lll reproduce                         the paper's Tables IV-IX
- *   lll roofline <plat>                   roofs + MSHR ceilings
- *   lll vendors                           counter visibility (Table I)
- *   lll selftest [--iterations N]         fault-injection harness
- *   lll lint [<wl> <plat> [opts...]]      static analyzer (+ determinism)
- *   lll audit [--fix-plan]                source auditor (layering, names)
- *   lll serve [--batch FILE]              batched JSON-lines run service
- *   lll serve --listen HOST:PORT          socket front-end (DESIGN §14)
- *   lll bench-serve --connect HOST:PORT   load generator for --listen
- *   lll search <wl> <plat> --axis ...     design-space autotuner (§17)
- *   lll profile <cmd> [args...]           self-profile any subcommand
- *   lll bench                             microbenchmark harness + ratchet
+ * `lll help` prints the command index; kCommands below is its source.
  *
  * Variant opts: vect 2-ht 4-ht l2-pref tiling unroll-jam fusion distr
  * analyze/trace also accept `--cores N` (drive the load with fewer
@@ -46,10 +26,13 @@
  *    message}, "data": ..., "telemetry": ...}
  * so consumers parse one shape and never re-derive exit semantics.
  *
- * Flag parsing is shared (util::ArgParser): repeated flags, missing
- * values and unknown leftovers fail the same way on every subcommand,
- * and `lll <cmd> --help` renders the one generated usage format (every
- * registered flag listed) and exits 0.
+ * Every subcommand is one kCommands entry — name, usage tail, one-line
+ * summary, handler — and that table is the single source of dispatch
+ * (including `lll profile <cmd>`), the `lll help` index and each
+ * `lll <cmd> --help` page.  Flag parsing is shared (util::ArgParser):
+ * repeated flags, missing values and unknown leftovers fail the same
+ * way on every subcommand, and `--help` renders the one generated usage
+ * format (every registered flag listed) and exits 0.
  *
  * Exit codes (see README "Robustness"): 0 success, 2 usage error,
  * 3 bad input data (including lint errors and failed serve requests),
@@ -65,6 +48,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -102,85 +86,6 @@ using workloads::OptSet;
 namespace
 {
 
-void
-usageText(FILE *to)
-{
-    std::fprintf(
-        to,
-        "usage: lll <command> [args]\n"
-        "  platforms | workloads | vendors\n"
-        "  characterize <platform|all> [--fresh]\n"
-        "  analyze <workload> <platform> [vect|2-ht|4-ht|l2-pref|tiling|"
-        "unroll-jam|fusion|distr ...]\n"
-        "          [--cores N] [--json FILE] [--metrics FILE]\n"
-        "  trace <workload> <platform> [opts ...] [--cores N] "
-        "[--json FILE] [--metrics FILE]\n"
-        "  walk <workload> <platform>\n"
-        "  table <workload> [--jobs N] [--cache-dir DIR]\n"
-        "  sweep [--jobs N] [--cache-dir DIR] [--json FILE]\n"
-        "  reproduce [--jobs N] [--cache-dir DIR]\n"
-        "  roofline <platform>\n"
-        "  selftest [--iterations N] [--seed S] [--verbose]\n"
-        "  lint [<workload> <platform> [opts ...]] [--json FILE] "
-        "[--determinism]\n"
-        "       [--seeds A,B,...]\n"
-        "  lint --profile FILE [--json FILE]\n"
-        "  audit [--root DIR] [--json FILE] [--fix-plan]\n"
-        "  serve [--batch FILE] [--jobs N] [--cache-dir DIR] "
-        "[--max-entries N]\n"
-        "        [--spill-budget BYTES] [--json FILE] "
-        "[--stats-interval N]\n"
-        "        [--request-telemetry]\n"
-        "  serve --listen HOST:PORT | --listen-unix PATH "
-        "[--jobs N]\n"
-        "        [--max-inflight N] [--max-pipelined N] "
-        "[--max-conns N]\n"
-        "        [--max-line-bytes N] [--max-write-buffer BYTES]\n"
-        "        [--idle-timeout-ms MS] [--read-timeout-ms MS]\n"
-        "        [--watchdog-ms MS] [--drain-grace-ms MS] "
-        "[--json FILE]\n"
-        "  bench-serve --connect HOST:PORT | --connect-unix PATH\n"
-        "        [--connections N] [--pipeline N] [--qps RATE] "
-        "[--duration-s S]\n"
-        "        [--requests FILE] [--drain-timeout-ms MS] "
-        "[--json FILE]\n"
-        "  search <workload> <platform> [opts ...] --axis name=spec "
-        "...\n"
-        "        [--point name=v,...] [--list-axes] [--jobs N] "
-        "[--cache-dir DIR]\n"
-        "        [--cores N] [--bank-weight W] [--max-candidates N]\n"
-        "        [--no-prune] [--all] [--json FILE] [--seed S]\n"
-        "        [--warmup-us X] [--measure-us X]\n"
-        "  profile [--out FILE] [--top N] <command> [args ...]\n"
-        "  bench [--trials N] [--warmup-ms MS] [--measure-ms MS] "
-        "[--kernel NAME]\n"
-        "        [--rev REV] [--json FILE] [--compare BASELINE] "
-        "[--tolerance FRAC]\n"
-        "`lll <command> --help` lists every flag of that command.\n");
-}
-
-int
-usage()
-{
-    usageText(stderr);
-    return 2;
-}
-
-/**
- * The shared `--help` exit: when @p ap latched `--help`, print the
- * generated help (usage tail + every flag the command registered) to
- * stdout and tell the caller to return 0.  Must run after all of the
- * command's flag accessors so the listing is complete.
- */
-bool
-helpOut(const ArgParser &ap, const char *tail, const char *summary)
-{
-    if (!ap.helpRequested())
-        return false;
-    std::fputs(ap.helpText(tail, summary).c_str(), stdout);
-    return true;
-}
-
 /** Report @p status on stderr and map it to the process exit code. */
 int
 failWith(const Status &status)
@@ -188,6 +93,124 @@ failWith(const Status &status)
     std::fprintf(stderr, "lll: %s\n", status.toString().c_str());
     return util::exitCodeFor(status.code());
 }
+
+/** The exit code a command's final verdict maps to. */
+int
+exitFor(const Status &verdict)
+{
+    return verdict.ok() ? 0 : util::exitCodeFor(verdict.code());
+}
+
+Status
+writeExportChecked(const std::string &path, const std::string &content)
+{
+    if (!obs::writeExport(path, content)) {
+        return Status::error(ErrorCode::IoError, "cannot write '%s'",
+                             path.c_str());
+    }
+    return Status::okStatus();
+}
+
+struct Cli;
+
+/**
+ * One subcommand.  The kCommands table of these is the only list of
+ * commands: dispatch, `lll profile <cmd>`, the `lll help` index and
+ * `lll <cmd> --help` all read it.
+ */
+struct Command
+{
+    const char *name;
+    const char *usage;   //!< operands and flags after the name, or ""
+    const char *summary; //!< one line, in the index and in --help
+    int (*run)(Cli &);
+};
+
+/** `usage: lll <this>` for @p cmd. */
+std::string
+usageLine(const Command &cmd)
+{
+    std::string line = cmd.name;
+    if (*cmd.usage)
+        line += std::string(" ") + cmd.usage;
+    return line;
+}
+
+/** One invocation of a subcommand: its table entry and its flags. */
+struct Cli
+{
+    const Command &cmd;
+    /** The tokens after the command name; `profile` splits them. */
+    std::vector<std::string> args;
+    ArgParser ap{args};
+
+    /**
+     * The one check after a handler's last flag accessor, before it
+     * resolves any operand: `--help` prints the entry's usage, summary
+     * and registered flags (exit 0); otherwise the first flag error
+     * exits 2.  nullopt means run on.
+     */
+    std::optional<int> flags() const
+    {
+        if (ap.helpRequested()) {
+            std::fputs(ap.helpText(usageLine(cmd), cmd.summary).c_str(),
+                       stdout);
+            return 0;
+        }
+        if (!ap.status().ok())
+            return failWith(ap.status());
+        return std::nullopt;
+    }
+
+    /** flags() for a command without operands: leftovers are errors. */
+    std::optional<int> flagsOnly() const
+    {
+        if (std::optional<int> rc = flags())
+            return rc;
+        Status extra = ap.finish();
+        if (!extra.ok())
+            return failWith(extra);
+        return std::nullopt;
+    }
+
+    /** The usage error for a missing operand: "<cmd> needs <what>". */
+    int needs(const char *what) const
+    {
+        return failWith(Status::error(ErrorCode::InvalidArgument,
+                                      "%s needs %s", cmd.name, what));
+    }
+
+    /**
+     * Finish with the `--json` envelope: when @p path is set, write
+     * @p data (plus @p registry's telemetry, if any) under this
+     * command's name with @p verdict and @p exit_code.  Returns
+     * @p exit_code, or the write failure's exit code.
+     */
+    int envelope(const std::string &path, const Status &verdict,
+                 int exit_code, const std::string &data,
+                 const obs::MetricRegistry *registry = nullptr) const
+    {
+        if (path.empty())
+            return exit_code;
+        const std::string telemetry =
+            registry ? obs::exportJson(*registry,
+                                       &obs::SpanTracker::global())
+                     : std::string();
+        Status s = writeExportChecked(
+            path, obs::jsonEnvelope(cmd.name, verdict, exit_code, data,
+                                    telemetry));
+        return s.ok() ? exit_code : failWith(s);
+    }
+};
+
+int
+dispatch(const Command &cmd, std::vector<std::string> args)
+{
+    Cli c{cmd, std::move(args)};
+    return cmd.run(c);
+}
+
+const Command *findCommand(const std::string &name);
 
 util::Result<OptSet>
 parseOpts(const std::vector<std::string> &args)
@@ -228,15 +251,10 @@ profileFor(const platforms::Platform &p)
 }
 
 int
-cmdPlatforms(int argc, char **argv)
+cmdPlatforms(Cli &c)
 {
-    ArgParser ap(argc, argv, 2);
-    if (helpOut(ap, "platforms", "List the modeled platforms "
-                                 "(paper Table III)."))
-        return 0;
-    Status extra = ap.finish();
-    if (!extra.ok())
-        return failWith(extra);
+    if (std::optional<int> rc = c.flagsOnly())
+        return *rc;
     Table t({"id", "description", "cores", "peak BW", "L1/L2 MSHRs",
              "line", "SMT"});
     for (const platforms::Platform &p : platforms::allPlatforms()) {
@@ -252,15 +270,10 @@ cmdPlatforms(int argc, char **argv)
 }
 
 int
-cmdWorkloads(int argc, char **argv)
+cmdWorkloads(Cli &c)
 {
-    ArgParser ap(argc, argv, 2);
-    if (helpOut(ap, "workloads", "List the workload models "
-                                 "(paper Table II)."))
-        return 0;
-    Status extra = ap.finish();
-    if (!extra.ok())
-        return failWith(extra);
+    if (std::optional<int> rc = c.flagsOnly())
+        return *rc;
     Table t({"id", "description", "routine", "problem size", "pattern"});
     for (const workloads::WorkloadPtr &w : workloads::allWorkloads()) {
         t.addRow({w->name(), w->description(), w->routine(),
@@ -274,15 +287,10 @@ cmdWorkloads(int argc, char **argv)
 }
 
 int
-cmdVendors(int argc, char **argv)
+cmdVendors(Cli &c)
 {
-    ArgParser ap(argc, argv, 2);
-    if (helpOut(ap, "vendors", "Counter visibility by vendor "
-                               "(paper Table I)."))
-        return 0;
-    Status extra = ap.finish();
-    if (!extra.ok())
-        return failWith(extra);
+    if (std::optional<int> rc = c.flagsOnly())
+        return *rc;
     Table t({"vendor", "stall breakdown", "L1-MSHRQ-full",
              "L2-MSHRQ-full", "mem latency", "mem traffic"});
     for (const counters::VendorSummary &v :
@@ -299,22 +307,17 @@ cmdVendors(int argc, char **argv)
 }
 
 int
-cmdCharacterize(int argc, char **argv)
+cmdCharacterize(Cli &c)
 {
-    ArgParser ap(argc, argv, 2);
-    util::Result<bool> fresh =
-        ap.boolFlag("--fresh", "re-measure even when a profile exists");
-    if (!fresh.ok())
-        return failWith(fresh.status());
-    if (helpOut(ap, "characterize <platform|all> [--fresh]",
-                "Measure (or load) a platform's X-Mem latency "
-                "profile."))
-        return 0;
-    if (ap.rest().empty())
-        return usage();
-    const std::string which = ap.rest().front();
-    ap.consumePositional(1);
-    Status extra = ap.finish();
+    const bool fresh =
+        c.ap.boolFlag("--fresh", "re-measure even when a profile exists");
+    if (std::optional<int> rc = c.flags())
+        return *rc;
+    if (c.ap.rest().empty())
+        return c.needs("a platform (or 'all')");
+    const std::string which = c.ap.rest().front();
+    c.ap.consumePositional(1);
+    Status extra = c.ap.finish();
     if (!extra.ok())
         return failWith(extra);
 
@@ -330,7 +333,7 @@ cmdCharacterize(int argc, char **argv)
     }
     for (const platforms::Platform &p : plats) {
         std::string path = xmem::defaultProfilePath(p);
-        if (*fresh)
+        if (fresh)
             (void)std::remove(path.c_str()); // absent file is fine
         util::Result<xmem::LatencyProfile> prof =
             xmem::XMemHarness().measureCachedChecked(p, path);
@@ -355,74 +358,65 @@ struct VariantArgs
     int cores = 0; //!< 0 = all of the platform's cores
 };
 
-util::Result<VariantArgs>
-parseVariantArgs(ArgParser &ap, const char *command)
+/**
+ * Parse analyze/trace's flags and operands into @p va.  Returns the
+ * exit code when the command must stop (help, a flag error, a bad
+ * operand); nullopt to run on.
+ */
+std::optional<int>
+parseVariant(Cli &c, VariantArgs &va)
 {
-    VariantArgs va;
-    util::Result<std::string> json = ap.stringFlag("--json");
-    if (!json.ok())
-        return json.status();
-    va.jsonPath = json.take();
-    util::Result<std::string> metrics = ap.stringFlag("--metrics");
-    if (!metrics.ok())
-        return metrics.status();
-    va.metricsPath = metrics.take();
-    util::Result<int> cores = ap.intFlag("--cores", 0);
-    if (!cores.ok())
-        return cores.status();
-    va.cores = *cores;
+    ArgParser &ap = c.ap;
+    va.jsonPath = ap.stringFlag("--json");
+    va.metricsPath = ap.stringFlag("--metrics");
+    va.cores = ap.intFlag("--cores", 0);
+    if (std::optional<int> rc = c.flags())
+        return rc;
 
-    // Help mode: flags are registered; the command prints and exits
-    // before touching the (possibly absent) operands.
-    if (ap.helpRequested())
-        return va;
-
-    if (ap.rest().size() < 2) {
-        return Status::error(ErrorCode::InvalidArgument,
-                             "%s needs a workload and a platform",
-                             command);
-    }
+    if (ap.rest().size() < 2)
+        return c.needs("a workload and a platform");
     util::Result<workloads::WorkloadPtr> w =
         workloads::findWorkload(ap.rest()[0]);
     if (!w.ok())
-        return w.status();
+        return failWith(w.status());
     va.workload = w.take();
     util::Result<platforms::Platform> p =
         platforms::findPlatform(ap.rest()[1]);
     if (!p.ok())
-        return p.status();
+        return failWith(p.status());
     va.platform = p.take();
     ap.consumePositional(2);
 
     util::Result<OptSet> opts = parseOpts(ap.rest());
     if (!opts.ok())
-        return opts.status();
+        return failWith(opts.status());
     va.opts = opts.take();
-    return va;
+    return std::nullopt;
 }
 
-Status
-writeExportChecked(const std::string &path, const std::string &content)
+/**
+ * analyze/trace's exports: the `--json` envelope around @p data, then
+ * the `--metrics` CSV.
+ */
+int
+variantExports(const Cli &c, const VariantArgs &va,
+               const obs::MetricRegistry &registry, const std::string &data)
 {
-    if (!obs::writeExport(path, content)) {
-        return Status::error(ErrorCode::IoError, "cannot write '%s'",
-                             path.c_str());
-    }
-    return Status::okStatus();
+    if (int rc = c.envelope(va.jsonPath, Status::okStatus(), 0, data,
+                            &registry))
+        return rc;
+    if (va.metricsPath.empty())
+        return 0;
+    Status s = writeExportChecked(va.metricsPath, obs::exportCsv(registry));
+    return s.ok() ? 0 : failWith(s);
 }
 
 int
-cmdAnalyze(int argc, char **argv)
+cmdAnalyze(Cli &c)
 {
-    ArgParser ap(argc, argv, 2);
-    util::Result<VariantArgs> parsed = parseVariantArgs(ap, "analyze");
-    if (!parsed.ok())
-        return failWith(parsed.status());
-    if (helpOut(ap, "analyze <workload> <platform> [opts ...] [flags]",
-                "Analyze one variant: Little's-law analysis plus the "
-                "optimization recipe."))
-        return 0;
-    VariantArgs &va = *parsed;
+    VariantArgs va;
+    if (std::optional<int> rc = parseVariant(c, va))
+        return *rc;
 
     obs::MetricRegistry registry;
     core::Experiment::Params ep;
@@ -465,40 +459,18 @@ cmdAnalyze(int argc, char **argv)
                      workloads::optName(r.opt), r.rationale.c_str());
     }
 
-    if (!va.jsonPath.empty()) {
-        const std::string data = service::stageDataJson(
-            m, va.platform.name, va.workload->name(),
-            va.opts.label());
-        const std::string telemetry =
-            obs::exportJson(registry, &obs::SpanTracker::global());
-        Status s = writeExportChecked(
-            va.jsonPath, obs::jsonEnvelope("analyze",
-                                           Status::okStatus(), 0, data,
-                                           telemetry));
-        if (!s.ok())
-            return failWith(s);
-    }
-    if (!va.metricsPath.empty()) {
-        Status s = writeExportChecked(va.metricsPath,
-                                      obs::exportCsv(registry));
-        if (!s.ok())
-            return failWith(s);
-    }
-    return 0;
+    return variantExports(c, va, registry,
+                          service::stageDataJson(m, va.platform.name,
+                                                 va.workload->name(),
+                                                 va.opts.label()));
 }
 
 int
-cmdTrace(int argc, char **argv)
+cmdTrace(Cli &c)
 {
-    ArgParser ap(argc, argv, 2);
-    util::Result<VariantArgs> parsed = parseVariantArgs(ap, "trace");
-    if (!parsed.ok())
-        return failWith(parsed.status());
-    if (helpOut(ap, "trace <workload> <platform> [opts ...] [flags]",
-                "Run one variant with telemetry and the request "
-                "tracer attached."))
-        return 0;
-    VariantArgs &va = *parsed;
+    VariantArgs va;
+    if (std::optional<int> rc = parseVariant(c, va))
+        return *rc;
     workloads::WorkloadPtr &w = va.workload;
     platforms::Platform &p = va.platform;
 
@@ -541,34 +513,19 @@ cmdTrace(int argc, char **argv)
         std::fprintf(rep, "  (use --json FILE / --metrics FILE to "
                           "export)\n");
 
-    if (!va.jsonPath.empty()) {
-        const std::string telemetry =
-            obs::exportJson(registry, &obs::SpanTracker::global());
-        Status s = writeExportChecked(
-            va.jsonPath, obs::jsonEnvelope("trace", Status::okStatus(),
-                                           0, tracer.toJson(),
-                                           telemetry));
-        if (!s.ok())
-            return failWith(s);
-    }
-    if (!va.metricsPath.empty()) {
-        Status s = writeExportChecked(va.metricsPath,
-                                      obs::exportCsv(registry));
-        if (!s.ok())
-            return failWith(s);
-    }
-    return 0;
+    return variantExports(c, va, registry,
+                          va.jsonPath.empty() ? std::string()
+                                              : tracer.toJson());
 }
 
 int
-cmdWalk(int argc, char **argv)
+cmdWalk(Cli &c)
 {
-    ArgParser ap(argc, argv, 2);
-    if (helpOut(ap, "walk <workload> <platform>",
-                "Follow the optimization recipe to convergence."))
-        return 0;
+    ArgParser &ap = c.ap;
+    if (std::optional<int> rc = c.flags())
+        return *rc;
     if (ap.rest().size() < 2)
-        return usage();
+        return c.needs("a workload and a platform");
     util::Result<workloads::WorkloadPtr> w =
         workloads::findWorkload(ap.rest()[0]);
     if (!w.ok())
@@ -622,27 +579,22 @@ cmdWalk(int argc, char **argv)
  * (in-process LRU cap), `--spill-budget BYTES` (on-disk cap, oldest
  * spill evicted first) and `--cache-dir DIR`.  Policy flags are
  * applied *before* the spill dir attaches so a pre-existing dir is
- * GC'd against the budget immediately.
+ * GC'd against the budget immediately; a flag error met so far wins
+ * over attaching it.
  */
 Status
 applyCacheFlags(ArgParser &ap, core::ResultCache &cache)
 {
-    util::Result<int> max_entries = ap.intFlag("--max-entries", 0);
-    if (!max_entries.ok())
-        return max_entries.status();
-    if (*max_entries > 0)
-        cache.setMaxEntries(static_cast<size_t>(*max_entries));
-    util::Result<uint64_t> budget = ap.uint64Flag("--spill-budget", 0);
-    if (!budget.ok())
-        return budget.status();
-    if (*budget > 0)
-        cache.setSpillBudget(*budget);
-    util::Result<std::string> dir = ap.stringFlag("--cache-dir");
-    if (!dir.ok())
-        return dir.status();
-    if (!dir->empty())
-        return cache.setSpillDir(*dir);
-    return Status::okStatus();
+    const int max_entries = ap.intFlag("--max-entries", 0);
+    if (max_entries > 0)
+        cache.setMaxEntries(static_cast<size_t>(max_entries));
+    const uint64_t budget = ap.uint64Flag("--spill-budget", 0);
+    if (budget > 0)
+        cache.setSpillBudget(budget);
+    const std::string dir = ap.stringFlag("--cache-dir");
+    if (dir.empty() || !ap.status().ok())
+        return Status::okStatus();
+    return cache.setSpillDir(dir);
 }
 
 /**
@@ -657,10 +609,7 @@ parseSweepFlags(ArgParser &ap)
 {
     core::SweepRunner::Params sp;
     sp.cache = &core::ResultCache::global();
-    util::Result<int> jobs = ap.intFlag("--jobs", 1);
-    if (!jobs.ok())
-        return jobs.status();
-    sp.jobs = *jobs;
+    sp.jobs = ap.intFlag("--jobs", 1);
     Status cache = applyCacheFlags(ap, *sp.cache);
     if (!cache.ok())
         return cache;
@@ -709,18 +658,16 @@ cacheStatsJson(const core::ResultCache::Stats &cs)
 }
 
 int
-cmdTable(int argc, char **argv)
+cmdTable(Cli &c)
 {
-    ArgParser ap(argc, argv, 2);
+    ArgParser &ap = c.ap;
     util::Result<core::SweepRunner::Params> sp = parseSweepFlags(ap);
     if (!sp.ok())
         return failWith(sp.status());
-    if (helpOut(ap, "table <workload> [flags]",
-                "One workload's paper-table rows across every "
-                "platform."))
-        return 0;
+    if (std::optional<int> rc = c.flags())
+        return *rc;
     if (ap.rest().empty())
-        return usage();
+        return c.needs("a workload");
     util::Result<workloads::WorkloadPtr> w =
         workloads::findWorkload(ap.rest().front());
     if (!w.ok())
@@ -751,25 +698,17 @@ cmdTable(int argc, char **argv)
 }
 
 int
-cmdSweep(int argc, char **argv)
+cmdSweep(Cli &c)
 {
-    ArgParser ap(argc, argv, 2);
-    util::Result<std::string> json = ap.stringFlag("--json");
-    if (!json.ok())
-        return failWith(json.status());
-    util::Result<core::SweepRunner::Params> sp = parseSweepFlags(ap);
+    const std::string json = c.ap.stringFlag("--json");
+    util::Result<core::SweepRunner::Params> sp = parseSweepFlags(c.ap);
     if (!sp.ok())
         return failWith(sp.status());
-    if (helpOut(ap, "sweep [flags]",
-                "Every workload x platform walk through the parallel "
-                "sweep runner."))
-        return 0;
-    Status extra = ap.finish();
-    if (!extra.ok())
-        return failWith(extra);
+    if (std::optional<int> rc = c.flagsOnly())
+        return *rc;
 
     obs::MetricRegistry registry;
-    if (!json->empty())
+    if (!json.empty())
         sp->registry = &registry;
 
     const std::vector<workloads::WorkloadPtr> wls =
@@ -782,7 +721,7 @@ cmdSweep(int argc, char **argv)
     if (!res.ok())
         return failWith(res.status());
 
-    FILE *rep = *json == "-" ? stderr : stdout;
+    FILE *rep = json == "-" ? stderr : stdout;
     Table t({"Workload", "Proc", "Source", "BW_obs (GB/s)",
              "lat_avg (ns)", "n_avg", "Opt: measured", "paper"});
     size_t rows = 0;
@@ -807,57 +746,45 @@ cmdSweep(int argc, char **argv)
                  static_cast<unsigned long long>(cs.diskLoads),
                  static_cast<unsigned long long>(cs.spills));
 
-    if (!json->empty()) {
-        std::ostringstream out;
-        out.precision(17);
-        out << "{\n  \"units\": [";
-        bool first_unit = true;
-        for (const core::SweepRunner::UnitResult &u : *res) {
-            out << (first_unit ? "" : ",") << "\n    {\"workload\": \""
-                << u.workload << "\", \"platform\": \"" << u.platform
-                << "\", \"rows\": [";
-            bool first_row = true;
-            for (const core::TableRow &row : u.rows) {
-                out << (first_row ? "" : ",")
-                    << "\n      {\"source\": \"" << row.source
-                    << "\", \"bw_gbs\": " << row.bwGBs
-                    << ", \"pct_peak\": " << row.pctPeak
-                    << ", \"latency_ns\": " << row.latencyNs
-                    << ", \"n_avg\": " << row.nAvg << ", \"opt\": \""
-                    << row.optLabel << "\", \"speedup\": " << row.speedup
-                    << ", \"paper_speedup\": " << row.paperSpeedup
-                    << "}";
-                first_row = false;
-            }
-            out << (first_row ? "" : "\n    ") << "]}";
-            first_unit = false;
+    if (json.empty())
+        return 0;
+    std::ostringstream out;
+    out.precision(17);
+    out << "{\n  \"units\": [";
+    bool first_unit = true;
+    for (const core::SweepRunner::UnitResult &u : *res) {
+        out << (first_unit ? "" : ",") << "\n    {\"workload\": \""
+            << u.workload << "\", \"platform\": \"" << u.platform
+            << "\", \"rows\": [";
+        bool first_row = true;
+        for (const core::TableRow &row : u.rows) {
+            out << (first_row ? "" : ",")
+                << "\n      {\"source\": \"" << row.source
+                << "\", \"bw_gbs\": " << row.bwGBs
+                << ", \"pct_peak\": " << row.pctPeak
+                << ", \"latency_ns\": " << row.latencyNs
+                << ", \"n_avg\": " << row.nAvg << ", \"opt\": \""
+                << row.optLabel << "\", \"speedup\": " << row.speedup
+                << ", \"paper_speedup\": " << row.paperSpeedup
+                << "}";
+            first_row = false;
         }
-        out << (first_unit ? "" : "\n  ") << "],\n  \"cache\": "
-            << cacheStatsJson(cs) << "\n}";
-        const std::string telemetry =
-            obs::exportJson(registry, &obs::SpanTracker::global());
-        Status s = writeExportChecked(
-            *json, obs::jsonEnvelope("sweep", Status::okStatus(), 0,
-                                     out.str(), telemetry));
-        if (!s.ok())
-            return failWith(s);
+        out << (first_row ? "" : "\n    ") << "]}";
+        first_unit = false;
     }
-    return 0;
+    out << (first_unit ? "" : "\n  ") << "],\n  \"cache\": "
+        << cacheStatsJson(cs) << "\n}";
+    return c.envelope(json, Status::okStatus(), 0, out.str(), &registry);
 }
 
 int
-cmdReproduce(int argc, char **argv)
+cmdReproduce(Cli &c)
 {
-    ArgParser ap(argc, argv, 2);
-    util::Result<core::SweepRunner::Params> sp = parseSweepFlags(ap);
+    util::Result<core::SweepRunner::Params> sp = parseSweepFlags(c.ap);
     if (!sp.ok())
         return failWith(sp.status());
-    if (helpOut(ap, "reproduce [flags]",
-                "Reproduce the paper's Tables IV-IX."))
-        return 0;
-    Status extra = ap.finish();
-    if (!extra.ok())
-        return failWith(extra);
+    if (std::optional<int> rc = c.flagsOnly())
+        return *rc;
 
     const std::vector<workloads::WorkloadPtr> wls =
         workloads::allWorkloads();
@@ -898,80 +825,43 @@ cmdReproduce(int argc, char **argv)
  * `--jobs N` and across warm `--cache-dir` reruns.
  */
 int
-cmdSearch(int argc, char **argv)
+cmdSearch(Cli &c)
 {
-    ArgParser ap(argc, argv, 2);
+    ArgParser &ap = c.ap;
     search::SearchSpec spec;
 
-    util::Result<std::vector<std::string>> axis_flags = ap.stringList(
+    const std::vector<std::string> axis_flags = ap.stringList(
         "--axis", "one axis: name=lo:hi:*k | lo:hi:+s | a,b,c");
-    if (!axis_flags.ok())
-        return failWith(axis_flags.status());
-    util::Result<std::vector<std::string>> point_flags = ap.stringList(
+    const std::vector<std::string> point_flags = ap.stringList(
         "--point", "one explicit extra point: name=v,name=v,...");
-    if (!point_flags.ok())
-        return failWith(point_flags.status());
-    util::Result<bool> list_axes =
+    const bool list_axes =
         ap.boolFlag("--list-axes", "list the known axes and exit");
-    if (!list_axes.ok())
-        return failWith(list_axes.status());
-    util::Result<std::string> json = ap.stringFlag(
+    const std::string json = ap.stringFlag(
         "--json", "write the envelope report to FILE (\"-\" = stdout)");
-    if (!json.ok())
-        return failWith(json.status());
-    util::Result<int> cores = ap.intFlag(
-        "--cores", 0, "cores driving the load (default: all)");
-    if (!cores.ok())
-        return failWith(cores.status());
-    spec.cores = *cores;
+    spec.cores = ap.intFlag("--cores", 0,
+                            "cores driving the load (default: all)");
     util::Result<core::SweepRunner::Params> sp = parseSweepFlags(ap);
     if (!sp.ok())
         return failWith(sp.status());
-    util::Result<uint64_t> seed =
+    spec.seed =
         ap.uint64Flag("--seed", spec.seed, "simulation tie-break seed");
-    if (!seed.ok())
-        return failWith(seed.status());
-    spec.seed = *seed;
-    util::Result<double> warmup = ap.doubleFlag(
-        "--warmup-us", 0.0, "warmup window (default: workload's)");
-    if (!warmup.ok())
-        return failWith(warmup.status());
-    spec.warmupUs = *warmup;
-    util::Result<double> measure = ap.doubleFlag(
+    spec.warmupUs = ap.doubleFlag("--warmup-us", 0.0,
+                                  "warmup window (default: workload's)");
+    spec.measureUs = ap.doubleFlag(
         "--measure-us", 0.0, "measure window (default: workload's)");
-    if (!measure.ok())
-        return failWith(measure.status());
-    spec.measureUs = *measure;
-    util::Result<double> bank_weight = ap.doubleFlag(
-        "--bank-weight", spec.bankWeight,
-        "cost = L1 + L2 MSHRs + W x banks");
-    if (!bank_weight.ok())
-        return failWith(bank_weight.status());
-    spec.bankWeight = *bank_weight;
-    util::Result<int> max_candidates =
-        ap.intFlag("--max-candidates", int(spec.maxCandidates),
-                   "refuse larger spaces up front");
-    if (!max_candidates.ok())
-        return failWith(max_candidates.status());
-    spec.maxCandidates = size_t(*max_candidates);
-    util::Result<bool> all = ap.boolFlag(
+    spec.bankWeight = ap.doubleFlag("--bank-weight", spec.bankWeight,
+                                    "cost = L1 + L2 MSHRs + W x banks");
+    spec.maxCandidates = size_t(ap.intFlag("--max-candidates",
+                                           int(spec.maxCandidates),
+                                           "refuse larger spaces up front"));
+    const bool all = ap.boolFlag(
         "--all", "print every candidate row, not just the frontier");
-    if (!all.ok())
-        return failWith(all.status());
-    util::Result<bool> no_prune = ap.boolFlag(
+    spec.disablePruning = ap.boolFlag(
         "--no-prune", "simulate everything (skip analytic pruning)");
-    if (!no_prune.ok())
-        return failWith(no_prune.status());
-    spec.disablePruning = *no_prune;
+    if (std::optional<int> rc = c.flags())
+        return *rc;
 
-    if (helpOut(ap,
-                "search <workload> <platform> [opts ...] --axis "
-                "name=spec ... [flags]",
-                "Design-space autotuner: enumerate axes, prune by "
-                "Little's-law ceiling, report the Pareto frontier."))
-        return 0;
-
-    if (*list_axes) {
+    if (list_axes) {
         Table t({"axis", "values"});
         for (const search::AxisDef &def : search::knownAxes())
             t.addRow({def.name, def.help});
@@ -979,11 +869,8 @@ cmdSearch(int argc, char **argv)
         return 0;
     }
 
-    if (ap.rest().size() < 2) {
-        return failWith(Status::error(
-            ErrorCode::InvalidArgument,
-            "search needs a workload and a platform"));
-    }
+    if (ap.rest().size() < 2)
+        return c.needs("a workload and a platform");
     spec.workloadName = ap.rest()[0];
     spec.platformName = ap.rest()[1];
     ap.consumePositional(2);
@@ -992,13 +879,13 @@ cmdSearch(int argc, char **argv)
         return failWith(opts.status());
     spec.opts = opts.take();
 
-    for (const std::string &text : *axis_flags) {
+    for (const std::string &text : axis_flags) {
         util::Result<search::Axis> axis = search::parseAxis(text);
         if (!axis.ok())
             return failWith(axis.status());
         spec.axes.push_back(axis.take());
     }
-    for (const std::string &text : *point_flags) {
+    for (const std::string &text : point_flags) {
         util::Result<search::Assignment> point =
             search::parsePoint(text);
         if (!point.ok())
@@ -1022,21 +909,10 @@ cmdSearch(int argc, char **argv)
     if (!result.ok())
         return failWith(result.status());
 
-    FILE *rep = *json == "-" ? stderr : stdout;
-    std::fputs(search::renderSearchText(*result, *all).c_str(), rep);
-
-    if (!json->empty()) {
-        const std::string telemetry =
-            obs::exportJson(registry, &obs::SpanTracker::global());
-        Status s = writeExportChecked(
-            *json,
-            obs::jsonEnvelope("search", Status::okStatus(), 0,
-                              search::searchDataJson(*result, true),
-                              telemetry));
-        if (!s.ok())
-            return failWith(s);
-    }
-    return 0;
+    FILE *rep = json == "-" ? stderr : stdout;
+    std::fputs(search::renderSearchText(*result, all).c_str(), rep);
+    return c.envelope(json, Status::okStatus(), 0,
+                      search::searchDataJson(*result, true), &registry);
 }
 
 net::Listener *g_serveListener = nullptr;
@@ -1083,69 +959,42 @@ percentilesMsJson(const obs::Log2Histogram &h)
  * admitted work finishes and flushes, then the process exits 0.
  */
 int
-cmdServeListen(ArgParser &ap, const std::string &listen,
+cmdServeListen(Cli &c, const std::string &batch, const std::string &listen,
                const std::string &listen_unix, int jobs,
                int stats_interval, bool request_telemetry,
                const std::string &json_path, core::ResultCache &cache)
 {
+    ArgParser &ap = c.ap;
     net::ListenerParams lp;
+    lp.maxInflight =
+        size_t(ap.intFlag("--max-inflight", int(lp.maxInflight)));
+    lp.maxPipelined =
+        size_t(ap.intFlag("--max-pipelined", int(lp.maxPipelined)));
+    lp.maxConns = size_t(ap.intFlag("--max-conns", int(lp.maxConns)));
+    lp.maxFrameBytes =
+        size_t(ap.uint64Flag("--max-line-bytes", lp.maxFrameBytes));
+    lp.maxWriteBuffer =
+        size_t(ap.uint64Flag("--max-write-buffer", lp.maxWriteBuffer));
+    lp.idleTimeoutMs = ap.intFlag("--idle-timeout-ms", lp.idleTimeoutMs);
+    lp.readTimeoutMs = ap.intFlag("--read-timeout-ms", lp.readTimeoutMs);
+    lp.watchdogMs = ap.intFlag("--watchdog-ms", lp.watchdogMs);
+    lp.drainGraceMs = ap.intFlag("--drain-grace-ms", lp.drainGraceMs);
+    // Help lands here too, so the one page lists both modes' flags.
+    if (std::optional<int> rc = c.flagsOnly())
+        return *rc;
+    if (!batch.empty()) {
+        return failWith(Status::error(
+            ErrorCode::InvalidArgument,
+            "--batch and --listen are mutually exclusive"));
+    }
     if (!listen.empty()) {
         Status hp = net::parseHostPort(listen, &lp.tcpHost, &lp.tcpPort);
         if (!hp.ok())
             return failWith(hp);
     }
     lp.unixPath = listen_unix;
-    lp.workers = jobs < 1 ? 1 : jobs;
+    lp.workers = jobs;
     lp.statsIntervalResponses = stats_interval;
-
-    util::Result<int> max_inflight =
-        ap.intFlag("--max-inflight", int(lp.maxInflight));
-    if (!max_inflight.ok())
-        return failWith(max_inflight.status());
-    lp.maxInflight = size_t(*max_inflight < 0 ? 0 : *max_inflight);
-    util::Result<int> max_pipelined =
-        ap.intFlag("--max-pipelined", int(lp.maxPipelined));
-    if (!max_pipelined.ok())
-        return failWith(max_pipelined.status());
-    lp.maxPipelined = size_t(*max_pipelined < 1 ? 1 : *max_pipelined);
-    util::Result<int> max_conns =
-        ap.intFlag("--max-conns", int(lp.maxConns));
-    if (!max_conns.ok())
-        return failWith(max_conns.status());
-    lp.maxConns = size_t(*max_conns < 1 ? 1 : *max_conns);
-    util::Result<uint64_t> max_line =
-        ap.uint64Flag("--max-line-bytes", lp.maxFrameBytes);
-    if (!max_line.ok())
-        return failWith(max_line.status());
-    lp.maxFrameBytes = size_t(*max_line);
-    util::Result<uint64_t> max_write =
-        ap.uint64Flag("--max-write-buffer", lp.maxWriteBuffer);
-    if (!max_write.ok())
-        return failWith(max_write.status());
-    lp.maxWriteBuffer = size_t(*max_write);
-    util::Result<int> idle_ms =
-        ap.intFlag("--idle-timeout-ms", lp.idleTimeoutMs);
-    if (!idle_ms.ok())
-        return failWith(idle_ms.status());
-    lp.idleTimeoutMs = *idle_ms;
-    util::Result<int> read_ms =
-        ap.intFlag("--read-timeout-ms", lp.readTimeoutMs);
-    if (!read_ms.ok())
-        return failWith(read_ms.status());
-    lp.readTimeoutMs = *read_ms;
-    util::Result<int> watchdog_ms =
-        ap.intFlag("--watchdog-ms", lp.watchdogMs);
-    if (!watchdog_ms.ok())
-        return failWith(watchdog_ms.status());
-    lp.watchdogMs = *watchdog_ms;
-    util::Result<int> drain_ms =
-        ap.intFlag("--drain-grace-ms", lp.drainGraceMs);
-    if (!drain_ms.ok())
-        return failWith(drain_ms.status());
-    lp.drainGraceMs = *drain_ms;
-    Status extra = ap.finish();
-    if (!extra.ok())
-        return failWith(extra);
 
     net::ServeHandlerParams hp;
     hp.cache = &cache;
@@ -1207,123 +1056,74 @@ cmdServeListen(ArgParser &ap, const std::string &listen,
             registry.histogram(util::names::kNetLatencyQueueWaitNs))
             .c_str());
 
-    const int exit_code = ran.ok() ? 0 : util::exitCodeFor(ran.code());
-    if (!json_path.empty()) {
-        std::ostringstream data;
-        data << "{\n  \"requests\": "
-             << count(util::names::kNetRequestsReceivedTotal)
-             << ",\n  \"admitted\": "
-             << count(util::names::kNetRequestsAdmittedTotal)
-             << ",\n  \"shed\": " << count(util::names::kNetRequestsShedTotal)
-             << ",\n  \"malformed\": "
-             << count(util::names::kNetRequestsMalformedTotal)
-             << ",\n  \"failed\": "
-             << count(util::names::kNetRequestsFailedTotal)
-             << ",\n  \"responses\": " << count(util::names::kNetResponsesTotal)
-             << ",\n  \"connections\": {\"accepted\": "
-             << count(util::names::kNetConnsAcceptedTotal) << ", \"rejected\": "
-             << count(util::names::kNetConnsRejectedTotal) << ", \"closed\": "
-             << count(util::names::kNetConnsClosedTotal) << "}"
-             << ",\n  \"watchdog_trips\": "
-             << count(util::names::kNetWatchdogTripsTotal)
-             << ",\n  \"latency_ms\": {\"request\": "
-             << percentilesMsJson(
-                    registry.histogram(util::names::kNetLatencyRequestNs))
-             << ", \"queue_wait\": "
-             << percentilesMsJson(
-                    registry.histogram(util::names::kNetLatencyQueueWaitNs))
-             << ", \"handler\": "
-             << percentilesMsJson(
-                    registry.histogram(util::names::kNetLatencyHandlerNs))
-             << "}"
-             << ",\n  \"cache\": " << cacheStatsJson(cache.stats())
-             << "\n}";
-        const std::string telemetry =
-            obs::exportJson(registry, &obs::SpanTracker::global());
-        Status s = writeExportChecked(
-            json_path, obs::jsonEnvelope("serve", ran, exit_code,
-                                         data.str(), telemetry));
-        if (!s.ok())
-            return failWith(s);
-    }
+    std::ostringstream data;
+    data << "{\n  \"requests\": "
+         << count(util::names::kNetRequestsReceivedTotal)
+         << ",\n  \"admitted\": "
+         << count(util::names::kNetRequestsAdmittedTotal)
+         << ",\n  \"shed\": " << count(util::names::kNetRequestsShedTotal)
+         << ",\n  \"malformed\": "
+         << count(util::names::kNetRequestsMalformedTotal)
+         << ",\n  \"failed\": "
+         << count(util::names::kNetRequestsFailedTotal)
+         << ",\n  \"responses\": " << count(util::names::kNetResponsesTotal)
+         << ",\n  \"connections\": {\"accepted\": "
+         << count(util::names::kNetConnsAcceptedTotal) << ", \"rejected\": "
+         << count(util::names::kNetConnsRejectedTotal) << ", \"closed\": "
+         << count(util::names::kNetConnsClosedTotal) << "}"
+         << ",\n  \"watchdog_trips\": "
+         << count(util::names::kNetWatchdogTripsTotal)
+         << ",\n  \"latency_ms\": {\"request\": "
+         << percentilesMsJson(
+                registry.histogram(util::names::kNetLatencyRequestNs))
+         << ", \"queue_wait\": "
+         << percentilesMsJson(
+                registry.histogram(util::names::kNetLatencyQueueWaitNs))
+         << ", \"handler\": "
+         << percentilesMsJson(
+                registry.histogram(util::names::kNetLatencyHandlerNs))
+         << "}"
+         << ",\n  \"cache\": " << cacheStatsJson(cache.stats())
+         << "\n}";
+    // A failed run is reported on stderr as well as in the envelope.
     if (!ran.ok())
-        return failWith(ran);
-    return 0;
+        (void)failWith(ran);
+    return c.envelope(json_path, ran, exitFor(ran), data.str(), &registry);
 }
 
 int
-cmdServe(int argc, char **argv)
+cmdServe(Cli &c)
 {
-    ArgParser ap(argc, argv, 2);
-    util::Result<std::string> batch = ap.stringFlag("--batch");
-    if (!batch.ok())
-        return failWith(batch.status());
-    util::Result<std::string> json = ap.stringFlag("--json");
-    if (!json.ok())
-        return failWith(json.status());
-    util::Result<int> jobs = ap.intFlag("--jobs", 1);
-    if (!jobs.ok())
-        return failWith(jobs.status());
-    util::Result<int> stats_interval = ap.intFlag("--stats-interval", 0);
-    if (!stats_interval.ok())
-        return failWith(stats_interval.status());
-    util::Result<bool> request_telemetry =
-        ap.boolFlag("--request-telemetry");
-    if (!request_telemetry.ok())
-        return failWith(request_telemetry.status());
-    util::Result<std::string> listen = ap.stringFlag("--listen");
-    if (!listen.ok())
-        return failWith(listen.status());
-    util::Result<std::string> listen_unix =
-        ap.stringFlag("--listen-unix");
-    if (!listen_unix.ok())
-        return failWith(listen_unix.status());
+    ArgParser &ap = c.ap;
+    const std::string batch = ap.stringFlag("--batch");
+    const std::string json = ap.stringFlag("--json");
+    const int jobs = ap.intFlag("--jobs", 1);
+    const int stats_interval = ap.intFlag("--stats-interval", 0);
+    const bool request_telemetry = ap.boolFlag("--request-telemetry");
+    const std::string listen = ap.stringFlag("--listen");
+    const std::string listen_unix = ap.stringFlag("--listen-unix");
     core::ResultCache &cache = core::ResultCache::global();
     Status cache_flags = applyCacheFlags(ap, cache);
     if (!cache_flags.ok())
         return failWith(cache_flags);
-    if (ap.helpRequested()) {
-        // Register the --listen-mode flags too, so the one help page
-        // covers both serve modes (they normally register inside
-        // cmdServeListen, which only runs with --listen given).
-        (void)ap.intFlag("--max-inflight", 1);
-        (void)ap.intFlag("--max-pipelined", 1);
-        (void)ap.intFlag("--max-conns", 1);
-        (void)ap.uint64Flag("--max-line-bytes", 0);
-        (void)ap.uint64Flag("--max-write-buffer", 0);
-        (void)ap.intFlag("--idle-timeout-ms", 1);
-        (void)ap.intFlag("--read-timeout-ms", 1);
-        (void)ap.intFlag("--watchdog-ms", 1);
-        (void)ap.intFlag("--drain-grace-ms", 1);
-        if (helpOut(ap,
-                    "serve [--batch FILE] [flags]  |  serve --listen "
-                    "HOST:PORT | --listen-unix PATH [flags]",
-                    "Batched JSON-lines run service; --listen serves "
-                    "the same protocol over sockets."))
-            return 0;
+    if (!listen.empty() || !listen_unix.empty() || ap.helpRequested()) {
+        return cmdServeListen(c, batch, listen, listen_unix, jobs,
+                              stats_interval, request_telemetry, json,
+                              cache);
     }
-    if (!listen->empty() || !listen_unix->empty()) {
-        if (!batch->empty()) {
-            return failWith(Status::error(
-                ErrorCode::InvalidArgument,
-                "--batch and --listen are mutually exclusive"));
-        }
-        return cmdServeListen(ap, *listen, *listen_unix, *jobs,
-                              *stats_interval, *request_telemetry,
-                              *json, cache);
-    }
-    Status extra = ap.finish();
-    if (!extra.ok())
-        return failWith(extra);
+    // Batch mode: the --listen tuning flags are left over, so they are
+    // unknown flags here.
+    if (std::optional<int> rc = c.flagsOnly())
+        return *rc;
 
     std::vector<std::string> lines;
     std::string line;
-    if (!batch->empty()) {
-        std::ifstream in(*batch);
+    if (!batch.empty()) {
+        std::ifstream in(batch);
         if (!in) {
             return failWith(Status::error(ErrorCode::IoError,
                                           "cannot read '%s'",
-                                          batch->c_str()));
+                                          batch.c_str()));
         }
         while (std::getline(in, line))
             lines.push_back(line);
@@ -1334,7 +1134,7 @@ cmdServe(int argc, char **argv)
 
     obs::MetricRegistry registry;
     service::RunService::Params sp;
-    sp.jobs = *jobs;
+    sp.jobs = jobs;
     sp.cache = &cache;
     sp.registry = &registry;
     service::RunService svc(sp);
@@ -1354,15 +1154,15 @@ cmdServe(int argc, char **argv)
         if (!r.status.ok())
             ++failed;
         const std::string rendered =
-            service::renderRunResponse(r, *request_telemetry);
+            service::renderRunResponse(r, request_telemetry);
         std::fwrite(rendered.data(), 1, rendered.size(), stdout);
         std::fputc('\n', stdout);
         ++written;
-        if (*stats_interval > 0) {
+        if (stats_interval > 0) {
             stat_total.sample(r.timing.totalNs);
             stat_queue.sample(r.timing.queueWaitNs);
             stat_sim.sample(r.timing.simulateNs);
-            if (written % static_cast<size_t>(*stats_interval) == 0) {
+            if (written % static_cast<size_t>(stats_interval) == 0) {
                 std::fprintf(
                     stderr,
                     "serve stats: %zu responses — total p50/p90/p99 "
@@ -1404,24 +1204,13 @@ cmdServe(int argc, char **argv)
                                 "%zu of %zu requests failed", failed,
                                 responses.size());
     }
-    const int exit_code =
-        verdict.ok() ? 0 : util::exitCodeFor(verdict.code());
-
-    if (!json->empty()) {
-        std::ostringstream data;
-        data << "{\n  \"requests\": " << responses.size()
-             << ",\n  \"failed\": " << failed << ",\n  \"units\": "
-             << units << ",\n  \"coalesced\": " << coalesced
-             << ",\n  \"cache\": " << cacheStatsJson(cs) << "\n}";
-        const std::string telemetry =
-            obs::exportJson(registry, &obs::SpanTracker::global());
-        Status s = writeExportChecked(
-            *json, obs::jsonEnvelope("serve", verdict, exit_code,
-                                     data.str(), telemetry));
-        if (!s.ok())
-            return failWith(s);
-    }
-    return exit_code;
+    std::ostringstream data;
+    data << "{\n  \"requests\": " << responses.size()
+         << ",\n  \"failed\": " << failed << ",\n  \"units\": " << units
+         << ",\n  \"coalesced\": " << coalesced
+         << ",\n  \"cache\": " << cacheStatsJson(cs) << "\n}";
+    return c.envelope(json, verdict, exitFor(verdict), data.str(),
+                      &registry);
 }
 
 /**
@@ -1435,73 +1224,35 @@ cmdServe(int argc, char **argv)
  * exit 3.
  */
 int
-cmdBenchServe(int argc, char **argv)
+cmdBenchServe(Cli &c)
 {
-    ArgParser ap(argc, argv, 2);
+    ArgParser &ap = c.ap;
     net::LoadGenParams lg;
-    util::Result<std::string> connect = ap.stringFlag("--connect");
-    if (!connect.ok())
-        return failWith(connect.status());
-    util::Result<std::string> connect_unix =
-        ap.stringFlag("--connect-unix");
-    if (!connect_unix.ok())
-        return failWith(connect_unix.status());
-    util::Result<int> connections =
-        ap.intFlag("--connections", lg.connections);
-    if (!connections.ok())
-        return failWith(connections.status());
-    util::Result<int> pipeline = ap.intFlag("--pipeline", lg.pipeline);
-    if (!pipeline.ok())
-        return failWith(pipeline.status());
-    util::Result<double> qps = ap.doubleFlag("--qps", lg.qps);
-    if (!qps.ok())
-        return failWith(qps.status());
-    util::Result<double> duration =
-        ap.doubleFlag("--duration-s", lg.durationS);
-    if (!duration.ok())
-        return failWith(duration.status());
-    util::Result<int> drain_ms =
-        ap.intFlag("--drain-timeout-ms", lg.drainTimeoutMs);
-    if (!drain_ms.ok())
-        return failWith(drain_ms.status());
-    util::Result<std::string> requests = ap.stringFlag("--requests");
-    if (!requests.ok())
-        return failWith(requests.status());
-    util::Result<std::string> json = ap.stringFlag("--json");
-    if (!json.ok())
-        return failWith(json.status());
-    if (helpOut(ap,
-                "bench-serve --connect HOST:PORT | --connect-unix "
-                "PATH [flags]",
-                "Load generator for the serve socket front-end."))
-        return 0;
-    Status extra = ap.finish();
-    if (!extra.ok())
-        return failWith(extra);
+    const std::string connect = ap.stringFlag("--connect");
+    lg.unixPath = ap.stringFlag("--connect-unix");
+    lg.connections = ap.intFlag("--connections", lg.connections);
+    lg.pipeline = ap.intFlag("--pipeline", lg.pipeline);
+    lg.qps = ap.doubleFlag("--qps", lg.qps);
+    lg.durationS = ap.doubleFlag("--duration-s", lg.durationS);
+    lg.drainTimeoutMs = ap.intFlag("--drain-timeout-ms", lg.drainTimeoutMs);
+    const std::string requests = ap.stringFlag("--requests");
+    const std::string json = ap.stringFlag("--json");
+    if (std::optional<int> rc = c.flagsOnly())
+        return *rc;
 
-    if (connect->empty() && connect_unix->empty()) {
-        return failWith(Status::error(
-            ErrorCode::InvalidArgument,
-            "bench-serve needs --connect HOST:PORT or --connect-unix "
-            "PATH"));
-    }
-    if (!connect->empty()) {
-        Status hp = net::parseHostPort(*connect, &lg.host, &lg.port);
+    if (connect.empty() && lg.unixPath.empty())
+        return c.needs("--connect HOST:PORT or --connect-unix PATH");
+    if (!connect.empty()) {
+        Status hp = net::parseHostPort(connect, &lg.host, &lg.port);
         if (!hp.ok())
             return failWith(hp);
     }
-    lg.unixPath = *connect_unix;
-    lg.connections = *connections;
-    lg.pipeline = *pipeline;
-    lg.qps = *qps;
-    lg.durationS = *duration;
-    lg.drainTimeoutMs = *drain_ms;
-    if (!requests->empty()) {
-        std::ifstream in(*requests);
+    if (!requests.empty()) {
+        std::ifstream in(requests);
         if (!in) {
             return failWith(Status::error(ErrorCode::IoError,
                                           "cannot read '%s'",
-                                          requests->c_str()));
+                                          requests.c_str()));
         }
         std::string line;
         while (std::getline(in, line)) {
@@ -1511,7 +1262,7 @@ cmdBenchServe(int argc, char **argv)
         if (lg.requestLines.empty()) {
             return failWith(Status::error(ErrorCode::InvalidArgument,
                                           "'%s' has no request lines",
-                                          requests->c_str()));
+                                          requests.c_str()));
         }
     } else {
         // A small, fast request so the default run exercises the
@@ -1551,32 +1302,22 @@ cmdBenchServe(int argc, char **argv)
             static_cast<unsigned long long>(rep->failed),
             static_cast<unsigned long long>(rep->connectionErrors));
     }
-    const int exit_code =
-        verdict.ok() ? 0 : util::exitCodeFor(verdict.code());
-
-    if (!json->empty()) {
-        std::ostringstream data;
-        data << "{\n  \"sent\": " << rep->sent << ",\n  \"received\": "
-             << rep->received << ",\n  \"ok\": " << rep->ok
-             << ",\n  \"unavailable\": " << rep->unavailable
-             << ",\n  \"failed\": " << rep->failed
-             << ",\n  \"connection_errors\": " << rep->connectionErrors
-             << ",\n  \"wall_s\": " << rep->wallS
-             << ",\n  \"achieved_qps\": " << rep->achievedQps
-             << ",\n  \"latency_ms\": {\"all\": "
-             << percentilesMsJson(rep->latencyNs)
-             << ", \"ok\": " << percentilesMsJson(rep->okLatencyNs)
-             << ", \"unavailable\": "
-             << percentilesMsJson(rep->shedLatencyNs) << "}\n}";
-        Status s = writeExportChecked(
-            *json, obs::jsonEnvelope("bench-serve", verdict, exit_code,
-                                     data.str(), "null"));
-        if (!s.ok())
-            return failWith(s);
-    }
+    std::ostringstream data;
+    data << "{\n  \"sent\": " << rep->sent << ",\n  \"received\": "
+         << rep->received << ",\n  \"ok\": " << rep->ok
+         << ",\n  \"unavailable\": " << rep->unavailable
+         << ",\n  \"failed\": " << rep->failed
+         << ",\n  \"connection_errors\": " << rep->connectionErrors
+         << ",\n  \"wall_s\": " << rep->wallS
+         << ",\n  \"achieved_qps\": " << rep->achievedQps
+         << ",\n  \"latency_ms\": {\"all\": "
+         << percentilesMsJson(rep->latencyNs)
+         << ", \"ok\": " << percentilesMsJson(rep->okLatencyNs)
+         << ", \"unavailable\": " << percentilesMsJson(rep->shedLatencyNs)
+         << "}\n}";
     if (!verdict.ok())
-        return failWith(verdict);
-    return 0;
+        (void)failWith(verdict);
+    return c.envelope(json, verdict, exitFor(verdict), data.str());
 }
 
 /**
@@ -1587,44 +1328,21 @@ cmdBenchServe(int argc, char **argv)
  * the perf ratchet and exits 3 on regression beyond `--tolerance`.
  */
 int
-cmdBench(int argc, char **argv)
+cmdBench(Cli &c)
 {
-    ArgParser ap(argc, argv, 2);
+    ArgParser &ap = c.ap;
     perf::TrialParams tp;
-    util::Result<int> trials = ap.intFlag("--trials", tp.trials);
-    if (!trials.ok())
-        return failWith(trials.status());
-    tp.trials = *trials;
-    util::Result<double> warmup = ap.doubleFlag("--warmup-ms",
-                                                tp.warmupMs);
-    if (!warmup.ok())
-        return failWith(warmup.status());
-    tp.warmupMs = *warmup;
-    util::Result<double> measure = ap.doubleFlag("--measure-ms",
-                                                 tp.measureMs);
-    if (!measure.ok())
-        return failWith(measure.status());
-    tp.measureMs = *measure;
-    util::Result<std::string> kernel = ap.stringFlag("--kernel");
-    if (!kernel.ok())
-        return failWith(kernel.status());
-    util::Result<std::string> rev = ap.stringFlag("--rev");
-    if (!rev.ok())
-        return failWith(rev.status());
-    util::Result<std::string> json = ap.stringFlag("--json");
-    if (!json.ok())
-        return failWith(json.status());
-    util::Result<std::string> compare = ap.stringFlag("--compare");
-    if (!compare.ok())
-        return failWith(compare.status());
-    util::Result<double> tolerance = ap.doubleFlag("--tolerance", 0.15);
-    if (!tolerance.ok())
-        return failWith(tolerance.status());
-    if (helpOut(ap, "bench [flags]",
-                "Microbenchmark harness; --compare applies the perf "
-                "ratchet."))
-        return 0;
-    if (*tolerance >= 1.0) {
+    tp.trials = ap.intFlag("--trials", tp.trials);
+    tp.warmupMs = ap.doubleFlag("--warmup-ms", tp.warmupMs);
+    tp.measureMs = ap.doubleFlag("--measure-ms", tp.measureMs);
+    const std::string kernel = ap.stringFlag("--kernel");
+    const std::string rev = ap.stringFlag("--rev");
+    const std::string json = ap.stringFlag("--json");
+    const std::string compare = ap.stringFlag("--compare");
+    const double tolerance = ap.doubleFlag("--tolerance", 0.15);
+    if (std::optional<int> rc = c.flags())
+        return *rc;
+    if (tolerance >= 1.0) {
         return failWith(Status::error(ErrorCode::InvalidArgument,
                                       "--tolerance wants a fraction "
                                       "below 1 (e.g. 0.15)"));
@@ -1634,21 +1352,21 @@ cmdBench(int argc, char **argv)
         return failWith(extra);
 
     std::vector<const perf::KernelInfo *> selected;
-    if (kernel->empty()) {
+    if (kernel.empty()) {
         for (const perf::KernelInfo &k : perf::kernels())
             selected.push_back(&k);
     } else {
-        const perf::KernelInfo *k = perf::findKernel(*kernel);
+        const perf::KernelInfo *k = perf::findKernel(kernel);
         if (!k) {
             return failWith(Status::error(ErrorCode::InvalidArgument,
                                           "unknown bench kernel '%s'",
-                                          kernel->c_str()));
+                                          kernel.c_str()));
         }
         selected.push_back(k);
     }
 
     perf::BenchReport report;
-    report.rev = rev->empty() ? "dev" : *rev;
+    report.rev = rev.empty() ? "dev" : rev;
     report.trials = tp.trials;
     report.warmupMs = tp.warmupMs;
     report.measureMs = tp.measureMs;
@@ -1656,7 +1374,7 @@ cmdBench(int argc, char **argv)
     // Per-kernel latency histograms land in a registry so the envelope
     // telemetry shares the exporter schema with every other command.
     obs::MetricRegistry registry;
-    FILE *rep = *json == "-" ? stderr : stdout;
+    FILE *rep = json == "-" ? stderr : stdout;
     std::fprintf(rep, "%-12s %12s %12s %12s %8s %8s %8s\n", "kernel",
                  "median ev/s", "min ev/s", "IQR ev/s", "p50 ns",
                  "p90 ns", "p99 ns");
@@ -1674,12 +1392,12 @@ cmdBench(int argc, char **argv)
     }
 
     Status verdict = Status::okStatus();
-    if (!compare->empty()) {
+    if (!compare.empty()) {
         util::Result<perf::BenchReport> baseline =
-            perf::parseBenchReportFile(*compare);
+            perf::parseBenchReportFile(compare);
         if (!baseline.ok())
             return failWith(baseline.status());
-        if (!kernel->empty()) {
+        if (!kernel.empty()) {
             // A single-kernel run gates only that kernel: drop the
             // other baseline entries so they do not read as lost
             // coverage (CI uses this for a dedicated tighter ratchet
@@ -1687,51 +1405,38 @@ cmdBench(int argc, char **argv)
             std::vector<perf::KernelStats> &ks = baseline->kernels;
             ks.erase(std::remove_if(ks.begin(), ks.end(),
                                     [&](const perf::KernelStats &s) {
-                                        return s.name != *kernel;
+                                        return s.name != kernel;
                                     }),
                      ks.end());
             if (ks.empty()) {
                 return failWith(Status::error(
                     ErrorCode::InvalidArgument,
                     "baseline %s has no entry for kernel '%s'",
-                    compare->c_str(), kernel->c_str()));
+                    compare.c_str(), kernel.c_str()));
             }
         }
         perf::BenchComparison cmp = perf::compareBenchReports(
-            *baseline, report, *tolerance);
+            *baseline, report, tolerance);
         std::fputs(cmp.render().c_str(), rep);
         if (!cmp.ok()) {
             verdict = Status::error(
                 ErrorCode::FailedPrecondition,
                 "events/sec regressed beyond %.0f%% of baseline %s",
-                *tolerance * 100.0, compare->c_str());
+                tolerance * 100.0, compare.c_str());
         }
     }
-    const int exit_code =
-        verdict.ok() ? 0 : util::exitCodeFor(verdict.code());
-
-    if (!json->empty()) {
-        const std::string telemetry =
-            obs::exportJson(registry, &obs::SpanTracker::global());
-        Status s = writeExportChecked(
-            *json, obs::jsonEnvelope("bench", verdict, exit_code,
-                                     perf::benchReportJson(report),
-                                     telemetry));
-        if (!s.ok())
-            return failWith(s);
-    }
-    return exit_code;
+    return c.envelope(json, verdict, exitFor(verdict),
+                      perf::benchReportJson(report), &registry);
 }
 
 int
-cmdRoofline(int argc, char **argv)
+cmdRoofline(Cli &c)
 {
-    ArgParser ap(argc, argv, 2);
-    if (helpOut(ap, "roofline <platform>",
-                "Roofline roofs plus the MSHR bandwidth ceilings."))
-        return 0;
+    ArgParser &ap = c.ap;
+    if (std::optional<int> rc = c.flags())
+        return *rc;
     if (ap.rest().empty())
-        return usage();
+        return c.needs("a platform");
     util::Result<platforms::Platform> p =
         platforms::findPlatform(ap.rest().front());
     if (!p.ok())
@@ -1755,29 +1460,14 @@ cmdRoofline(int argc, char **argv)
 }
 
 int
-cmdSelftest(int argc, char **argv)
+cmdSelftest(Cli &c)
 {
     faultinject::Options opts;
-    ArgParser ap(argc, argv, 2);
-    util::Result<int> iters =
-        ap.intFlag("--iterations", opts.fuzzIterations);
-    if (!iters.ok())
-        return failWith(iters.status());
-    opts.fuzzIterations = *iters;
-    util::Result<uint64_t> seed = ap.uint64Flag("--seed", opts.seed);
-    if (!seed.ok())
-        return failWith(seed.status());
-    opts.seed = *seed;
-    util::Result<bool> verbose = ap.boolFlag("--verbose");
-    if (!verbose.ok())
-        return failWith(verbose.status());
-    opts.verbose = *verbose;
-    if (helpOut(ap, "selftest [flags]",
-                "Run the fault-injection self-test harness."))
-        return 0;
-    Status extra = ap.finish();
-    if (!extra.ok())
-        return failWith(extra);
+    opts.fuzzIterations = c.ap.intFlag("--iterations", opts.fuzzIterations);
+    opts.seed = c.ap.uint64Flag("--seed", opts.seed);
+    opts.verbose = c.ap.boolFlag("--verbose");
+    if (std::optional<int> rc = c.flagsOnly())
+        return *rc;
 
     faultinject::Report report = faultinject::runAll(opts);
     std::fputs(report.render(opts.verbose).c_str(), stdout);
@@ -1800,30 +1490,26 @@ printDiags(FILE *rep, const util::DiagnosticList &diags)
 }
 
 int
-cmdLint(int argc, char **argv)
+cmdLint(Cli &c)
 {
-    ArgParser ap(argc, argv, 2);
-    util::Result<std::string> json = ap.stringFlag("--json");
-    if (!json.ok())
-        return failWith(json.status());
+    ArgParser &ap = c.ap;
+    const std::string json = ap.stringFlag("--json");
 
     // `lint --profile FILE` lints a cached latency-profile file instead
-    // of workload configs; the two modes do not mix.
-    util::Result<std::string> profile = ap.stringFlag("--profile");
-    if (!profile.ok())
-        return failWith(profile.status());
-    if (!profile->empty()) {
-        Status extra = ap.finish();
-        if (!extra.ok())
-            return failWith(extra);
-        util::DiagnosticList diags =
-            analysis::lintProfileFile(*profile);
-        FILE *rep = *json == "-" ? stderr : stdout;
+    // of workload configs; the two modes do not mix (the config-mode
+    // flags are unknown to it).  In help mode `profile` is empty, so
+    // the help page lists both modes' flags.
+    const std::string profile = ap.stringFlag("--profile");
+    if (!profile.empty()) {
+        if (std::optional<int> rc = c.flagsOnly())
+            return *rc;
+        util::DiagnosticList diags = analysis::lintProfileFile(profile);
+        FILE *rep = json == "-" ? stderr : stdout;
         printDiags(rep, diags);
         std::fprintf(rep,
                      "profile lint: %s — %zu errors, %zu warnings, %zu "
                      "notes\n",
-                     profile->c_str(), diags.errorCount(),
+                     profile.c_str(), diags.errorCount(),
                      diags.warningCount(), diags.noteCount());
 
         Status verdict = Status::okStatus();
@@ -1832,45 +1518,34 @@ cmdLint(int argc, char **argv)
                                     "%zu profile lint error(s)",
                                     diags.errorCount());
         }
-        const int exit_code =
-            verdict.ok() ? 0 : util::exitCodeFor(verdict.code());
-        if (!json->empty()) {
-            std::ostringstream out;
-            out << "{\n  \"profiles\": [\n    {\"path\": \"" << *profile
-                << "\", \"diagnostics\": " << diags.renderJson(4)
-                << "}\n  ],\n  \"summary\": {\"errors\": "
-                << diags.errorCount() << ", \"warnings\": "
-                << diags.warningCount() << ", \"notes\": "
-                << diags.noteCount() << "}\n}";
-            Status s = writeExportChecked(
-                *json, obs::jsonEnvelope("lint", verdict, exit_code,
-                                         out.str(), std::string()));
-            if (!s.ok())
-                return failWith(s);
-        }
-        return exit_code;
+        std::ostringstream out;
+        out << "{\n  \"profiles\": [\n    {\"path\": \"" << profile
+            << "\", \"diagnostics\": " << diags.renderJson(4)
+            << "}\n  ],\n  \"summary\": {\"errors\": "
+            << diags.errorCount() << ", \"warnings\": "
+            << diags.warningCount() << ", \"notes\": "
+            << diags.noteCount() << "}\n}";
+        return c.envelope(json, verdict, exitFor(verdict), out.str());
     }
 
-    util::Result<bool> determinism = ap.boolFlag("--determinism");
-    if (!determinism.ok())
-        return failWith(determinism.status());
+    const bool determinism = ap.boolFlag("--determinism");
+    const std::string seeds_flag = ap.stringFlag("--seeds");
+    if (std::optional<int> rc = c.flags())
+        return *rc;
 
     // `--seeds A,B,...` overrides the alternate tie-break seeds the
     // determinism check runs against.  The baseline (seed 0, insertion
     // order) is always prepended; the listed seeds must be nonzero so
     // every comparison is baseline-vs-permuted.
-    util::Result<std::string> seeds_flag = ap.stringFlag("--seeds");
-    if (!seeds_flag.ok())
-        return failWith(seeds_flag.status());
     analysis::DeterminismOptions det_opts;
-    if (!seeds_flag->empty()) {
-        if (!*determinism) {
+    if (!seeds_flag.empty()) {
+        if (!determinism) {
             return failWith(Status::error(
                 ErrorCode::InvalidArgument,
                 "--seeds requires --determinism"));
         }
         det_opts.seeds.assign(1, 0);
-        std::stringstream ss(*seeds_flag);
+        std::stringstream ss(seeds_flag);
         std::string tok;
         while (std::getline(ss, tok, ',')) {
             char *end = nullptr;
@@ -1897,13 +1572,6 @@ cmdLint(int argc, char **argv)
         }
     }
 
-    if (helpOut(ap,
-                "lint [<workload> <platform> [opts ...]] [flags]  |  "
-                "lint --profile FILE [--json FILE]",
-                "Static spec/config analyzer; --determinism adds the "
-                "event-order race check."))
-        return 0;
-
     // Operands: none (scan the whole registry) or workload platform
     // [opts...].  Unlike analyze/trace, an *infeasible* variant is a
     // valid lint request — that is the point of linting — so opts are
@@ -1917,7 +1585,7 @@ cmdLint(int argc, char **argv)
             }
         }
     } else if (ap.rest().size() == 1) {
-        return usage();
+        return c.needs("a workload and a platform (or neither)");
     } else {
         util::Result<workloads::WorkloadPtr> w =
             workloads::findWorkload(ap.rest()[0]);
@@ -1934,7 +1602,7 @@ cmdLint(int argc, char **argv)
         jobs.push_back({p.take(), w.take(), opts.take()});
     }
 
-    FILE *rep = *json == "-" ? stderr : stdout;
+    FILE *rep = json == "-" ? stderr : stdout;
     size_t errors = 0, warnings = 0, notes = 0, det_failures = 0;
     std::ostringstream jplat, jconf, jdet;
 
@@ -1986,7 +1654,7 @@ cmdLint(int argc, char **argv)
     }
 
     bool first_jdet = true;
-    if (*determinism) {
+    if (determinism) {
         for (const LintJob &job : jobs) {
             // A variant the platform cannot even build was already
             // reported as infeasible above; nothing to run.
@@ -2028,7 +1696,7 @@ cmdLint(int argc, char **argv)
                  "warnings, %zu notes",
                  jobs.size(), seen_platforms.size(), errors, warnings,
                  notes);
-    if (*determinism)
+    if (determinism)
         std::fprintf(rep, ", %zu determinism failures", det_failures);
     std::fprintf(rep, "\n");
 
@@ -2043,29 +1711,18 @@ cmdLint(int argc, char **argv)
         verdict = Status::error(ErrorCode::FailedPrecondition,
                                 "%zu lint error(s)", errors);
     }
-    const int exit_code =
-        verdict.ok() ? 0 : util::exitCodeFor(verdict.code());
-
-    if (!json->empty()) {
-        std::ostringstream out;
-        out << "{\n  \"platforms\": [" << jplat.str()
-            << (jplat.str().empty() ? "" : "\n  ") << "],\n"
-            << "  \"configs\": [" << jconf.str()
-            << (jconf.str().empty() ? "" : "\n  ") << "],\n"
-            << "  \"determinism\": [" << jdet.str()
-            << (jdet.str().empty() ? "" : "\n  ") << "],\n"
-            << "  \"summary\": {\"configs\": " << jobs.size()
-            << ", \"errors\": " << errors << ", \"warnings\": "
-            << warnings << ", \"notes\": " << notes
-            << ", \"determinism_failures\": " << det_failures
-            << "}\n}";
-        Status s = writeExportChecked(
-            *json, obs::jsonEnvelope("lint", verdict, exit_code,
-                                     out.str(), std::string()));
-        if (!s.ok())
-            return failWith(s);
-    }
-    return exit_code;
+    std::ostringstream out;
+    out << "{\n  \"platforms\": [" << jplat.str()
+        << (jplat.str().empty() ? "" : "\n  ") << "],\n"
+        << "  \"configs\": [" << jconf.str()
+        << (jconf.str().empty() ? "" : "\n  ") << "],\n"
+        << "  \"determinism\": [" << jdet.str()
+        << (jdet.str().empty() ? "" : "\n  ") << "],\n"
+        << "  \"summary\": {\"configs\": " << jobs.size()
+        << ", \"errors\": " << errors << ", \"warnings\": " << warnings
+        << ", \"notes\": " << notes
+        << ", \"determinism_failures\": " << det_failures << "}\n}";
+    return c.envelope(json, verdict, exitFor(verdict), out.str());
 }
 
 /**
@@ -2077,43 +1734,31 @@ cmdLint(int argc, char **argv)
  * when any LLL-SRC-1xx error fires — the same verdict shape as lint.
  */
 int
-cmdAudit(int argc, char **argv)
+cmdAudit(Cli &c)
 {
-    ArgParser ap(argc, argv, 2);
-    util::Result<std::string> json = ap.stringFlag("--json");
-    if (!json.ok())
-        return failWith(json.status());
-    util::Result<std::string> root = ap.stringFlag("--root");
-    if (!root.ok())
-        return failWith(root.status());
-    util::Result<bool> fix_plan = ap.boolFlag("--fix-plan");
-    if (!fix_plan.ok())
-        return failWith(fix_plan.status());
-    if (helpOut(ap, "audit [flags]",
-                "Run the in-tree source auditor (layering, name "
-                "registries, API hygiene)."))
-        return 0;
-    Status extra = ap.finish();
-    if (!extra.ok())
-        return failWith(extra);
+    const std::string json = c.ap.stringFlag("--json");
+    const std::string root = c.ap.stringFlag("--root");
+    const bool fix_plan = c.ap.boolFlag("--fix-plan");
+    if (std::optional<int> rc = c.flagsOnly())
+        return *rc;
 
     audit::AuditConfig config;
-    if (root->empty()) {
+    if (root.empty()) {
         util::Result<std::string> found = audit::findRepoRoot(".");
         if (!found.ok())
             return failWith(found.status());
         config.root = found.take();
     } else {
-        config.root = *root;
+        config.root = root;
     }
 
     util::Result<audit::AuditReport> report = audit::runAudit(config);
     if (!report.ok())
         return failWith(report.status());
 
-    FILE *rep = *json == "-" ? stderr : stdout;
+    FILE *rep = json == "-" ? stderr : stdout;
     std::fputs(report->renderText().c_str(), rep);
-    if (*fix_plan)
+    if (fix_plan)
         std::fputs(report->renderFixPlan().c_str(), rep);
 
     Status verdict = Status::okStatus();
@@ -2122,64 +1767,8 @@ cmdAudit(int argc, char **argv)
                                 "%zu audit error(s)",
                                 report->diagnostics.errorCount());
     }
-    const int exit_code =
-        verdict.ok() ? 0 : util::exitCodeFor(verdict.code());
-    if (!json->empty()) {
-        Status s = writeExportChecked(
-            *json,
-            obs::jsonEnvelope("audit", verdict, exit_code,
-                              report->renderJson(), std::string()));
-        if (!s.ok())
-            return failWith(s);
-    }
-    return exit_code;
-}
-
-/**
- * Dispatch @p cmd with argv[1] == cmd.  Factored out of main() so
- * cmdProfile can run any subcommand under a root span; -1 means the
- * command is unknown (main turns that into usage()).
- */
-int
-runCommand(const std::string &cmd, int argc, char **argv)
-{
-    if (cmd == "platforms")
-        return cmdPlatforms(argc, argv);
-    if (cmd == "workloads")
-        return cmdWorkloads(argc, argv);
-    if (cmd == "vendors")
-        return cmdVendors(argc, argv);
-    if (cmd == "characterize")
-        return cmdCharacterize(argc, argv);
-    if (cmd == "analyze")
-        return cmdAnalyze(argc, argv);
-    if (cmd == "trace")
-        return cmdTrace(argc, argv);
-    if (cmd == "walk")
-        return cmdWalk(argc, argv);
-    if (cmd == "table")
-        return cmdTable(argc, argv);
-    if (cmd == "sweep")
-        return cmdSweep(argc, argv);
-    if (cmd == "reproduce")
-        return cmdReproduce(argc, argv);
-    if (cmd == "roofline")
-        return cmdRoofline(argc, argv);
-    if (cmd == "selftest")
-        return cmdSelftest(argc, argv);
-    if (cmd == "lint")
-        return cmdLint(argc, argv);
-    if (cmd == "audit")
-        return cmdAudit(argc, argv);
-    if (cmd == "serve")
-        return cmdServe(argc, argv);
-    if (cmd == "search")
-        return cmdSearch(argc, argv);
-    if (cmd == "bench")
-        return cmdBench(argc, argv);
-    if (cmd == "bench-serve")
-        return cmdBenchServe(argc, argv);
-    return -1;
+    return c.envelope(json, verdict, exitFor(verdict),
+                      report->renderJson());
 }
 
 /**
@@ -2190,91 +1779,45 @@ runCommand(const std::string &cmd, int argc, char **argv)
  * The process exit code is the inner command's.
  */
 int
-cmdProfile(int argc, char **argv)
+cmdProfile(Cli &c)
 {
     // profile's own flags come before the wrapped command; everything
     // from the first non-flag token on belongs to the inner command and
-    // is handed over untouched (so its own `--out`/`--top` still work).
-    std::string out;
-    size_t top = 10;
-    int i = 2;
-    for (; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            // Hand-rolled loop (flags stop at the wrapped command), so
-            // register the flags on a scratch parser to reuse the one
-            // shared help renderer.
-            ArgParser help_ap(std::vector<std::string>{});
-            (void)help_ap.stringFlag("--out",
-                                     "write the profile envelope to "
-                                     "FILE");
-            (void)help_ap.intFlag("--top", 10,
-                                  "attribution tree rows to print");
-            std::fputs(
-                help_ap
-                    .helpText("profile [--out FILE] [--top N] "
-                              "<command> [args ...]",
-                              "Self-profile any subcommand under a "
-                              "wall-clock span tree.")
-                    .c_str(),
-                stdout);
-            return 0;
-        }
-        if (arg != "--out" && arg != "--top") {
-            if (!arg.empty() && arg[0] == '-') {
-                return failWith(Status::error(ErrorCode::InvalidArgument,
-                                              "unknown flag '%s'",
-                                              arg.c_str()));
-            }
-            break;
-        }
-        if (i + 1 >= argc) {
-            return failWith(Status::error(ErrorCode::InvalidArgument,
-                                          "%s needs an argument",
-                                          arg.c_str()));
-        }
-        const std::string value = argv[++i];
-        if (arg == "--out") {
-            out = value;
-            continue;
-        }
-        char *end = nullptr;
-        const long n = std::strtol(value.c_str(), &end, 10);
-        if (*end != '\0' || n < 1) {
-            return failWith(Status::error(
-                ErrorCode::InvalidArgument,
-                "--top wants a positive integer, got '%s'",
-                value.c_str()));
-        }
-        top = static_cast<size_t>(n);
+    // is handed over untouched (so its own `--out`/`--top`/`--help`
+    // still work).  Every profile flag but --help takes a value.
+    const std::vector<std::string> &args = c.args;
+    size_t i = 0;
+    while (i < args.size() && !args[i].empty() && args[i][0] == '-')
+        i += (args[i] == "--help" || args[i] == "-h") ? 1 : 2;
+    i = std::min(i, args.size());
+    c.ap = ArgParser({args.begin(), args.begin() + long(i)});
+    const std::string out =
+        c.ap.stringFlag("--out", "write the profile envelope to FILE");
+    const int top =
+        c.ap.intFlag("--top", 10, "attribution tree rows to print");
+    if (std::optional<int> rc = c.flagsOnly())
+        return *rc;
+    if (i == args.size())
+        return c.needs("a command");
+    const std::string &inner = args[i];
+    const Command *cmd = findCommand(inner);
+    if (cmd == nullptr) {
+        return failWith(Status::error(ErrorCode::InvalidArgument,
+                                      "unknown command '%s'",
+                                      inner.c_str()));
     }
-    if (i >= argc)
-        return usage();
-    const std::string inner = argv[i];
-    if (inner == "profile" || inner == "--profile") {
+    if (cmd == &c.cmd) {
         return failWith(Status::error(ErrorCode::InvalidArgument,
                                       "profile does not nest"));
     }
-
-    // Re-seat argv so the inner command sees itself at argv[1].
-    std::vector<char *> inner_argv;
-    inner_argv.push_back(argv[0]);
-    for (int j = i; j < argc; ++j)
-        inner_argv.push_back(argv[j]);
 
     obs::SpanTracker::global().reset();
     obs::WallTimer wall;
     int inner_exit;
     {
         obs::ScopedSpan root(util::names::kCmdSpanPrefix + inner);
-        inner_exit = runCommand(inner,
-                                static_cast<int>(inner_argv.size()),
-                                inner_argv.data());
-    }
-    if (inner_exit < 0) {
-        return failWith(Status::error(ErrorCode::InvalidArgument,
-                                      "unknown command '%s'",
-                                      inner.c_str()));
+        inner_exit = dispatch(*cmd, {args.begin() + long(i) + 1,
+                                     args.end()});
     }
     const double wall_ns = wall.elapsedNs();
 
@@ -2282,22 +1825,101 @@ cmdProfile(int argc, char **argv)
         obs::SpanTracker::global().stats(), wall_ns);
     std::fprintf(stderr, "profile: %s (exit %d)\n", inner.c_str(),
                  inner_exit);
-    std::fputs(obs::Profiler::renderText(report, top).c_str(), stderr);
+    std::fputs(obs::Profiler::renderText(report, size_t(top)).c_str(),
+               stderr);
 
-    if (!out.empty()) {
-        std::ostringstream data;
-        data << "{\n  \"profiled_command\": \"" << obs::jsonEscape(inner)
-             << "\",\n  \"inner_exit\": " << inner_exit
-             << ",\n  \"profile\": "
-             << obs::Profiler::renderJson(report, top) << "\n}";
-        Status s = writeExportChecked(
-            out, obs::jsonEnvelope("profile", Status::okStatus(),
-                                   inner_exit, data.str(),
-                                   std::string()));
-        if (!s.ok())
-            return failWith(s);
+    std::ostringstream data;
+    data << "{\n  \"profiled_command\": \"" << obs::jsonEscape(inner)
+         << "\",\n  \"inner_exit\": " << inner_exit
+         << ",\n  \"profile\": "
+         << obs::Profiler::renderJson(report, size_t(top)) << "\n}";
+    return c.envelope(out, Status::okStatus(), inner_exit, data.str());
+}
+
+const Command kCommands[] = {
+    {"platforms", "", "List the modeled platforms (paper Table III).",
+     cmdPlatforms},
+    {"workloads", "", "List the workload models (paper Table II).",
+     cmdWorkloads},
+    {"vendors", "", "Counter visibility by vendor (paper Table I).",
+     cmdVendors},
+    {"characterize", "<platform|all> [--fresh]",
+     "Measure (or load) a platform's X-Mem latency profile.",
+     cmdCharacterize},
+    {"analyze", "<workload> <platform> [opts ...] [flags]",
+     "Analyze one variant: Little's-law analysis plus the optimization "
+     "recipe.",
+     cmdAnalyze},
+    {"trace", "<workload> <platform> [opts ...] [flags]",
+     "Run one variant with telemetry and the request tracer attached.",
+     cmdTrace},
+    {"walk", "<workload> <platform>",
+     "Follow the optimization recipe to convergence.", cmdWalk},
+    {"table", "<workload> [flags]",
+     "One workload's paper-table rows across every platform.", cmdTable},
+    {"sweep", "[flags]",
+     "Every workload x platform walk through the parallel sweep runner.",
+     cmdSweep},
+    {"reproduce", "[flags]", "Reproduce the paper's Tables IV-IX.",
+     cmdReproduce},
+    {"roofline", "<platform>",
+     "Roofline roofs plus the MSHR bandwidth ceilings.", cmdRoofline},
+    {"selftest", "[flags]", "Run the fault-injection self-test harness.",
+     cmdSelftest},
+    {"lint",
+     "[<workload> <platform> [opts ...]] [flags]  |  lint --profile FILE "
+     "[--json FILE]",
+     "Static spec/config analyzer; --determinism adds the event-order "
+     "race check.",
+     cmdLint},
+    {"audit", "[flags]",
+     "Run the in-tree source auditor (layering, name registries, API "
+     "hygiene).",
+     cmdAudit},
+    {"serve",
+     "[--batch FILE] [flags]  |  serve --listen HOST:PORT | --listen-unix "
+     "PATH [flags]",
+     "Batched JSON-lines run service; --listen serves the same protocol "
+     "over sockets.",
+     cmdServe},
+    {"bench-serve", "--connect HOST:PORT | --connect-unix PATH [flags]",
+     "Load generator for the serve socket front-end.", cmdBenchServe},
+    {"search",
+     "<workload> <platform> [opts ...] --axis name=spec ... [flags]",
+     "Design-space autotuner: enumerate axes, prune by Little's-law "
+     "ceiling, report the Pareto frontier.",
+     cmdSearch},
+    {"profile", "[--out FILE] [--top N] <command> [args ...]",
+     "Self-profile any subcommand under a wall-clock span tree.",
+     cmdProfile},
+    {"bench", "[flags]",
+     "Microbenchmark harness; --compare applies the perf ratchet.",
+     cmdBench},
+};
+
+const Command *
+findCommand(const std::string &name)
+{
+    for (const Command &cmd : kCommands) {
+        if (name == cmd.name)
+            return &cmd;
     }
-    return inner_exit;
+    return nullptr;
+}
+
+/** The command index `lll help` prints, generated from kCommands. */
+void
+printIndex(FILE *to)
+{
+    std::fprintf(to, "usage: lll <command> [args]\n\n");
+    for (const Command &cmd : kCommands)
+        std::fprintf(to, "  %s\n      %s\n", usageLine(cmd).c_str(),
+                     cmd.summary);
+    std::fprintf(to,
+                 "\nopts: vect 2-ht 4-ht l2-pref tiling unroll-jam "
+                 "fusion distr\n"
+                 "`lll <command> --help` lists every flag of that "
+                 "command.\n");
 }
 
 } // namespace
@@ -2305,19 +1927,23 @@ cmdProfile(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        return usage();
-    const std::string cmd = argv[1];
-    if (cmd == "help" || cmd == "--help" || cmd == "-h") {
-        usageText(stdout);
+    if (argc < 2) {
+        printIndex(stderr);
+        return 2;
+    }
+    std::string name = argv[1];
+    if (name == "help" || name == "--help" || name == "-h") {
+        printIndex(stdout);
         return 0;
     }
     // `lll --profile <cmd>` is an alias for `lll profile <cmd>`.
-    if (cmd == "profile" || cmd == "--profile")
-        return cmdProfile(argc, argv);
-    const int code = runCommand(cmd, argc, argv);
-    if (code >= 0)
-        return code;
-    std::fprintf(stderr, "lll: unknown command '%s'\n", cmd.c_str());
-    return usage();
+    if (name == "--profile")
+        name = "profile";
+    const Command *cmd = findCommand(name);
+    if (cmd == nullptr) {
+        std::fprintf(stderr, "lll: unknown command '%s'\n", name.c_str());
+        printIndex(stderr);
+        return 2;
+    }
+    return dispatch(*cmd, std::vector<std::string>(argv + 2, argv + argc));
 }
