@@ -14,7 +14,9 @@
 #include <cstdio>
 
 #include "bench_common.hh"
+#include "core/experiment.hh"
 #include "core/littles_law.hh"
+#include "util/table.hh"
 
 int
 main()

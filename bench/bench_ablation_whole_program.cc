@@ -16,8 +16,10 @@
 #include <cstdio>
 
 #include "bench_common.hh"
+#include "core/experiment.hh"
 #include "core/littles_law.hh"
 #include "sim/tracer.hh"
+#include "util/table.hh"
 
 int
 main()

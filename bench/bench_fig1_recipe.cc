@@ -11,7 +11,9 @@
 #include <cstdio>
 
 #include "bench_common.hh"
+#include "core/experiment.hh"
 #include "core/recipe.hh"
+#include "util/table.hh"
 
 int
 main()

@@ -12,7 +12,9 @@
 #include <cstdio>
 
 #include "bench_common.hh"
+#include "core/experiment.hh"
 #include "core/roofline.hh"
+#include "util/table.hh"
 
 int
 main()

@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "bench_common.hh"
+#include "util/table.hh"
 
 int
 main()

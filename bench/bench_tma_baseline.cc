@@ -15,6 +15,7 @@
 #include <cstdio>
 
 #include "bench_common.hh"
+#include "core/experiment.hh"
 #include "core/tma.hh"
 
 static void

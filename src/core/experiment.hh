@@ -43,6 +43,12 @@ struct StageMetrics
     double throughput = 0.0;
 };
 
+/**
+ * Speedup at or above which a tried optimization counts as having
+ * helped.  The paper counts its 1.02–1.03× SMT rows as wins.
+ */
+inline constexpr double kHelpedSpeedup = 1.03;
+
 /** One rendered table row (paper Tables IV–IX shape). */
 struct TableRow
 {
@@ -54,6 +60,16 @@ struct TableRow
     std::string optLabel;      //!< optimization tried ("-" for none)
     double speedup = 0.0;      //!< measured; 0 when none tried
     double paperSpeedup = 0.0; //!< the paper's number for comparison
+    /** Figure 1's recipe, run at the source state, advised an opt the
+     *  row adds to that state; false when none was tried. */
+    bool recommended = false;
+
+    /** A tried opt whose outcome matches the recipe's verdict
+     *  (recommended and helped, or neither). */
+    bool recipeAgrees() const
+    {
+        return recommended == (speedup >= kHelpedSpeedup);
+    }
 };
 
 /**
@@ -122,7 +138,8 @@ class Experiment
     double speedup(const workloads::OptSet &from,
                    const workloads::OptSet &to);
 
-    /** Run the workload's full paper walk and render the rows. */
+    /** Run the workload's full paper walk and render the rows, each
+     *  with the recipe's verdict on the optimization it tries. */
     std::vector<TableRow> paperTable();
 
     const platforms::Platform &platform() const { return platform_; }

@@ -98,6 +98,10 @@ struct ListenerParams
      *  of it, the connection is closed (overflow) when it is hit. */
     size_t maxWriteBuffer = 4u << 20;
 
+    // The four timeouts below take "<= 0" only from code that fills
+    // ListenerParams: `lll serve --listen` reads their flags as N >= 1
+    // and refuses 0 as a usage error.
+
     /** Close a connection idle (no buffered partial frame, nothing in
      *  flight or unflushed) for this long.  <= 0 disables. */
     int idleTimeoutMs = 30000;

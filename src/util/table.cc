@@ -62,11 +62,20 @@ Table::render() const
     if (!caption_.empty())
         out << caption_ << "\n";
     out << rule() << line(header_) << rule();
+    // A separator draws a rule only between two data rows, so a
+    // leading, trailing or repeated one never doubles a rule.
+    bool after_data = false;
+    bool rule_due = false;
     for (const auto &row : rows_) {
-        if (row.empty())
+        if (row.empty()) {
+            rule_due = after_data;
+            continue;
+        }
+        if (rule_due)
             out << rule();
-        else
-            out << line(row);
+        out << line(row);
+        after_data = true;
+        rule_due = false;
     }
     out << rule();
     return out.str();

@@ -31,7 +31,8 @@ class Table
     /** Append a data row; must have the same arity as the header. */
     void addRow(std::vector<std::string> row);
 
-    /** Append a horizontal separator between row groups. */
+    /** Append a horizontal separator between row groups; one that is
+     *  not between two data rows renders as nothing. */
     void addSeparator();
 
     /** Optional caption printed above the table. */

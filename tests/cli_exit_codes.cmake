@@ -104,6 +104,10 @@ expect_exit(2 bench --kernel nope)
 expect_exit(2 serve --batch /dev/null --max-inflight 3)
 expect_exit(2 serve --batch "${_serve_dir}/empty.jsonl"
               --listen 127.0.0.1:0)
+# The listener timeouts take N >= 1 from the CLI; "<= 0 disables" is
+# for ListenerParams callers only.  Refused while parsing flags, before
+# any socket is bound.
+expect_exit(2 serve --listen 127.0.0.1:0 --watchdog-ms 0)
 # lint --profile mode does not take the config-mode flags.
 expect_exit(2 lint --profile
               "${CMAKE_CURRENT_LIST_DIR}/../data/profiles/skl.profile"

@@ -71,10 +71,23 @@ TEST_F(ExperimentTest, PaperTableMatchesRows)
         EXPECT_EQ(rows[i].source, expected[i].source.label());
         EXPECT_EQ(rows[i].optLabel, expected[i].optLabel);
         EXPECT_DOUBLE_EQ(rows[i].paperSpeedup, expected[i].paperSpeedup);
-        if (expected[i].applied)
-            EXPECT_GT(rows[i].speedup, 0.0);
-        else
+        if (!expected[i].applied) {
             EXPECT_DOUBLE_EQ(rows[i].speedup, 0.0);
+            EXPECT_FALSE(rows[i].recommended);
+            continue;
+        }
+        EXPECT_GT(rows[i].speedup, 0.0);
+        // The verdict is the recipe's advice at the row's source state,
+        // restricted to opts the row adds on top of that state.
+        const workloads::OptSet &src = expected[i].source;
+        bool advised = false;
+        for (workloads::Opt o :
+             Recipe(plat_).advise(exp.stage(src).analysis, src)
+                 .recommendedOpts()) {
+            if (expected[i].applied->has(o) && !src.has(o))
+                advised = true;
+        }
+        EXPECT_EQ(rows[i].recommended, advised) << rows[i].source;
     }
 }
 

@@ -97,6 +97,7 @@ expectSameRows(const std::vector<SweepRunner::UnitResult> &a,
             EXPECT_DOUBLE_EQ(x.nAvg, y.nAvg);
             EXPECT_DOUBLE_EQ(x.speedup, y.speedup);
             EXPECT_DOUBLE_EQ(x.paperSpeedup, y.paperSpeedup);
+            EXPECT_EQ(x.recommended, y.recommended);
         }
     }
 }

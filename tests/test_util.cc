@@ -354,6 +354,17 @@ TEST(TableTest, SeparatorAddsRule)
         pos += 3;
     }
     EXPECT_EQ(rules, 4u);
+
+    // Separators next to another rule add nothing: a leading one, a
+    // repeated one, and a trailing one (the closing rule stays single).
+    Table u({"c"});
+    u.addSeparator();
+    u.addRow({"1"});
+    u.addSeparator();
+    u.addSeparator();
+    u.addRow({"2"});
+    u.addSeparator();
+    EXPECT_EQ(u.render(), out);
 }
 
 TEST(TableDeathTest, WrongArityPanics)

@@ -255,15 +255,18 @@ cmdPlatforms(Cli &c)
 {
     if (std::optional<int> rc = c.flagsOnly())
         return *rc;
-    Table t({"id", "description", "cores", "peak BW", "L1/L2 MSHRs",
-             "line", "SMT"});
+    Table t({"id", "description", "cores @ rate", "peak BW",
+             "L1/L2 MSHRs", "line", "SMT", "peak DP"});
     for (const platforms::Platform &p : platforms::allPlatforms()) {
-        t.addRow({p.name, p.description, std::to_string(p.totalCores),
+        t.addRow({p.name, p.description,
+                  std::to_string(p.totalCores) + " @ " +
+                      fmtDouble(p.freqGHz, 1) + "GHz",
                   fmtDouble(p.peakGBs, 0) + " GB/s",
                   std::to_string(p.l1Mshrs) + "/" +
                       std::to_string(p.l2Mshrs),
                   std::to_string(p.lineBytes) + "B",
-                  std::to_string(p.maxSmtWays) + "-way"});
+                  std::to_string(p.maxSmtWays) + "-way",
+                  fmtDouble(p.peakGFlops / 1000.0, 2) + " TF"});
     }
     std::fputs(t.render().c_str(), stdout);
     return 0;
@@ -616,6 +619,18 @@ parseSweepFlags(ArgParser &ap)
     return sp;
 }
 
+/** The paper-table header; `sweep` leads with the workload column. */
+Table
+paperRowsTable(bool lead_with_workload)
+{
+    std::vector<std::string> header = {
+        "Proc",  "Source",        "BW_obs (GB/s)", "lat_avg (ns)",
+        "n_avg", "Opt: measured", "paper",         "recipe"};
+    if (lead_with_workload)
+        header.insert(header.begin(), "Workload");
+    return Table(std::move(header));
+}
+
 /** Append one unit's paper rows to @p t (no trailing separator). */
 void
 addUnitRows(Table &t, const core::SweepRunner::UnitResult &u,
@@ -629,10 +644,12 @@ addUnitRows(Table &t, const core::SweepRunner::UnitResult &u,
     for (const core::TableRow &row : u.rows) {
         std::string opt = row.optLabel;
         std::string paper = "-";
+        std::string recipe = "-";
         if (row.speedup > 0.0) {
             opt += ": " + fmtSpeedup(row.speedup);
             if (row.paperSpeedup > 0.0)
                 paper = fmtSpeedup(row.paperSpeedup);
+            recipe = row.recommended ? "rec" : "not-rec";
         }
         std::vector<std::string> cells;
         if (lead_with_workload)
@@ -640,9 +657,44 @@ addUnitRows(Table &t, const core::SweepRunner::UnitResult &u,
         cells.insert(cells.end(),
                      {u.platform, row.source, fmtBwPct(row.bwGBs, peak),
                       fmtDouble(row.latencyNs, 0),
-                      fmtDouble(row.nAvg, 2), opt, paper});
+                      fmtDouble(row.nAvg, 2), opt, paper, recipe});
         t.addRow(cells);
     }
+}
+
+/** How many tried optimizations the recipe's verdict got right. */
+struct Agreement
+{
+    int agree = 0;
+    int tried = 0;
+};
+
+/**
+ * Print one paper table — units [@p begin, @p end) of @p res, one
+ * block per platform — with its recipe/outcome agreement line under
+ * it, and return that tally.
+ */
+Agreement
+printPaperTable(const std::vector<core::SweepRunner::UnitResult> &res,
+                size_t begin, size_t end)
+{
+    Table t = paperRowsTable(false);
+    Agreement a;
+    for (size_t i = begin; i < end; ++i) {
+        addUnitRows(t, res[i], false);
+        t.addSeparator();
+        for (const core::TableRow &row : res[i].rows) {
+            if (row.speedup > 0.0) {
+                ++a.tried;
+                a.agree += row.recipeAgrees() ? 1 : 0;
+            }
+        }
+    }
+    std::fputs(t.render().c_str(), stdout);
+    std::printf("recipe/outcome agreement: %d of %d tried optimizations "
+                "(recommended<->helped)\n",
+                a.agree, a.tried);
+    return a;
 }
 
 /** The ResultCache counters as a JSON object (shared by sweep/serve). */
@@ -687,13 +739,7 @@ cmdTable(Cli &c)
     if (!res.ok())
         return failWith(res.status());
 
-    Table t({"Proc", "Source", "BW_obs (GB/s)", "lat_avg (ns)", "n_avg",
-             "Opt: measured", "paper"});
-    for (const core::SweepRunner::UnitResult &u : *res) {
-        addUnitRows(t, u, false);
-        t.addSeparator();
-    }
-    std::fputs(t.render().c_str(), stdout);
+    printPaperTable(*res, 0, res->size());
     return 0;
 }
 
@@ -722,8 +768,7 @@ cmdSweep(Cli &c)
         return failWith(res.status());
 
     FILE *rep = json == "-" ? stderr : stdout;
-    Table t({"Workload", "Proc", "Source", "BW_obs (GB/s)",
-             "lat_avg (ns)", "n_avg", "Opt: measured", "paper"});
+    Table t = paperRowsTable(true);
     size_t rows = 0;
     std::string last_workload;
     for (const core::SweepRunner::UnitResult &u : *res) {
@@ -798,19 +843,23 @@ cmdReproduce(Cli &c)
 
     // sweepUnits() is workload-major, so each paper table's units are a
     // contiguous run of the result vector.
-    size_t i = 0;
+    Agreement total;
+    size_t begin = 0;
     for (const workloads::WorkloadPtr &w : wls) {
         std::printf("== %s: %s ==\n", w->name().c_str(),
                     w->routine().c_str());
-        Table t({"Proc", "Source", "BW_obs (GB/s)", "lat_avg (ns)",
-                 "n_avg", "Opt: measured", "paper"});
-        for (; i < res->size() && (*res)[i].workload == w->name(); ++i) {
-            addUnitRows(t, (*res)[i], false);
-            t.addSeparator();
-        }
-        std::fputs(t.render().c_str(), stdout);
+        size_t end = begin;
+        while (end < res->size() && (*res)[end].workload == w->name())
+            ++end;
+        const Agreement a = printPaperTable(*res, begin, end);
+        total.agree += a.agree;
+        total.tried += a.tried;
         std::printf("\n");
+        begin = end;
     }
+    std::printf("total recipe/outcome agreement: %d of %d tried "
+                "optimizations\n",
+                total.agree, total.tried);
     return 0;
 }
 
@@ -1375,17 +1424,22 @@ cmdBench(Cli &c)
     // telemetry shares the exporter schema with every other command.
     obs::MetricRegistry registry;
     FILE *rep = json == "-" ? stderr : stdout;
-    std::fprintf(rep, "%-12s %12s %12s %12s %8s %8s %8s\n", "kernel",
-                 "median ev/s", "min ev/s", "IQR ev/s", "p50 ns",
-                 "p90 ns", "p99 ns");
+    // The kernel column is as wide as the longest selected name.
+    size_t width = std::strlen("kernel");
+    for (const perf::KernelInfo *k : selected)
+        width = std::max(width, k->name.size());
+    const int name_width = static_cast<int>(width);
+    std::fprintf(rep, "%-*s %12s %12s %12s %8s %8s %8s\n", name_width,
+                 "kernel", "median ev/s", "min ev/s", "IQR ev/s",
+                 "p50 ns", "p90 ns", "p99 ns");
     for (const perf::KernelInfo *k : selected) {
         obs::ScopedSpan span(util::names::kBenchSpanPrefix + k->name);
         perf::KernelStats stats = perf::runKernel(*k, tp);
         std::fprintf(rep,
-                     "%-12s %12.4g %12.4g %12.4g %8.1f %8.1f %8.1f\n",
-                     stats.name.c_str(), stats.medianEps, stats.minEps,
-                     stats.iqrEps, stats.p50ItemNs, stats.p90ItemNs,
-                     stats.p99ItemNs);
+                     "%-*s %12.4g %12.4g %12.4g %8.1f %8.1f %8.1f\n",
+                     name_width, stats.name.c_str(), stats.medianEps,
+                     stats.minEps, stats.iqrEps, stats.p50ItemNs,
+                     stats.p90ItemNs, stats.p99ItemNs);
         registry.histogram(util::names::kPerfKernelPrefix + k->name + ".item_ns")
             .merge(stats.itemNs);
         report.kernels.push_back(std::move(stats));
