@@ -295,7 +295,40 @@ scanFlatJson(const std::string &text)
     }
 }
 
+/** Where this thread's innermost live ResultCache::Tally adds. */
+thread_local ResultCache::Stats *t_tally = nullptr;
+
 } // namespace
+
+ResultCache::Stats &
+ResultCache::Stats::operator+=(const Stats &o)
+{
+    hits += o.hits;
+    misses += o.misses;
+    diskLoads += o.diskLoads;
+    spills += o.spills;
+    evictions += o.evictions;
+    spillEvictions += o.spillEvictions;
+    return *this;
+}
+
+ResultCache::Tally::Tally(Stats *into) : outer_(t_tally)
+{
+    t_tally = into;
+}
+
+ResultCache::Tally::~Tally()
+{
+    t_tally = outer_;
+}
+
+void
+ResultCache::countLocked(uint64_t Stats::*field)
+{
+    ++(stats_.*field);
+    if (t_tally)
+        ++(t_tally->*field);
+}
 
 uint64_t
 hashKernelSpec(const sim::KernelSpec &spec)
@@ -622,7 +655,7 @@ ResultCache::enforceEntryCapLocked()
         // stays, so a later lookup reloads instead of re-simulating.
         entries_.erase(lru_.back());
         lru_.pop_back();
-        ++stats_.evictions;
+        countLocked(&Stats::evictions);
     }
 }
 
@@ -634,7 +667,7 @@ ResultCache::lookup(const std::string &key, StageMetrics *out)
     if (it != entries_.end()) {
         *out = it->second.metrics;
         touchLocked(it->second);
-        ++stats_.hits;
+        countLocked(&Stats::hits);
         return true;
     }
     if (!spillDir_.empty()) {
@@ -649,13 +682,13 @@ ResultCache::lookup(const std::string &key, StageMetrics *out)
             if (parsed.ok()) {
                 *out = *parsed;
                 insertLocked(key, parsed.take());
-                ++stats_.hits;
-                ++stats_.diskLoads;
+                countLocked(&Stats::hits);
+                countLocked(&Stats::diskLoads);
                 return true;
             }
         }
     }
-    ++stats_.misses;
+    countLocked(&Stats::misses);
     return false;
 }
 
@@ -674,7 +707,7 @@ ResultCache::insert(const std::string &key, const StageMetrics &m)
         if (out) {
             const std::string text = stageMetricsJson(m, key);
             out << text;
-            ++stats_.spills;
+            countLocked(&Stats::spills);
             if (!ec)
                 spillBytes_ -= std::min<uint64_t>(spillBytes_, old_size);
             spillBytes_ += text.size();
@@ -801,7 +834,7 @@ ResultCache::gcSpillLocked()
         std::error_code rec;
         if (std::filesystem::remove(f.path, rec) && !rec) {
             spillBytes_ -= std::min<uint64_t>(spillBytes_, f.size);
-            ++stats_.spillEvictions;
+            countLocked(&Stats::spillEvictions);
         }
     }
 }
@@ -982,6 +1015,7 @@ SweepRunner::runStages(const std::vector<StageUnit> &units)
         StageOutcome &out = outcomes[i];
         const double picked_up_ns = fanout.elapsedNs();
         out.queueWaitNs = picked_up_ns;
+        const ResultCache::Tally tally(&out.cache);
         spans[i] = obs::SpanTracker::capture([&] {
             auto perr = profiles.errors.find(u.platform.name);
             if (perr != profiles.errors.end()) {

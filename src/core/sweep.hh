@@ -79,6 +79,28 @@ class ResultCache
         uint64_t spills = 0;    //!< entries written to the spill dir
         uint64_t evictions = 0; //!< in-memory entries LRU-evicted
         uint64_t spillEvictions = 0; //!< spill files GC-deleted
+
+        Stats &operator+=(const Stats &o);
+    };
+
+    /**
+     * While alive, every stat the calling thread's calls add to any
+     * ResultCache (a lookup's hit or miss, an insert's evictions) is
+     * added to @p into as well.  The cache is shared across threads,
+     * so a before/after stats() delta would also count other threads'
+     * traffic; a fan-out unit counts its own this way.  Scopes nest;
+     * the innermost one receives.
+     */
+    class Tally
+    {
+      public:
+        explicit Tally(Stats *into);
+        ~Tally();
+        Tally(const Tally &) = delete;
+        Tally &operator=(const Tally &) = delete;
+
+      private:
+        Stats *outer_;
     };
 
     /**
@@ -140,6 +162,8 @@ class ResultCache
     void enforceEntryCapLocked();
     void rescanSpillLocked();
     void gcSpillLocked();
+    /** Bump one stat, and the calling thread's Tally if one is live. */
+    void countLocked(uint64_t Stats::*field);
 
     mutable std::mutex mu_;
     std::map<std::string, Entry> entries_;
@@ -229,6 +253,8 @@ class SweepRunner
         /** Host wall time the worker spent running the unit
          *  (Experiment creation + simulated stage). */
         double simulateNs = 0.0;
+        /** This unit's own ResultCache traffic (ResultCache::Tally). */
+        ResultCache::Stats cache;
     };
 
     explicit SweepRunner(Params params) : params_(params) {}

@@ -1,5 +1,7 @@
 #include "obs/span.hh"
 
+#include <utility>
+
 #include "util/logging.hh"
 
 namespace lll::obs
@@ -53,11 +55,14 @@ SpanTracker::merge(const std::vector<Stat> &stats)
 std::vector<SpanTracker::Stat>
 SpanTracker::capture(const std::function<void()> &fn)
 {
+    // Set the calling thread's open spans and aggregates aside rather
+    // than dropping them: fanOut() at jobs 1 runs its tasks on the
+    // caller, whose `serve.run` span is still open.
     SpanTracker &tracker = global();
-    tracker.reset();
+    SpanTracker saved = std::exchange(tracker, SpanTracker());
     fn();
     std::vector<Stat> out = tracker.stats();
-    tracker.reset();
+    tracker = std::move(saved);
     return out;
 }
 

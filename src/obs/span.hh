@@ -15,8 +15,8 @@
  * retaining every interval, keeping overhead and memory constant.
  *
  * Threading: global() is thread-local, so LLL_SPAN is race-free from
- * fan-out workers without any locking; each worker capture()s one
- * task's spans and the caller merge()s the per-task stats into its own
+ * fan-out workers without any locking; each task capture()s its own
+ * spans and the caller merge()s the per-task stats into its own
  * tracker after join, in deterministic task order (the merge-after-join
  * contract, DESIGN.md §11).  The merge nests them under the caller's
  * open span, so parallel work is attributed inside the span that waited
@@ -77,9 +77,10 @@ class SpanTracker
 
     /**
      * Run @p fn against the calling thread's global() tracker, emptied
-     * first, and return the spans it recorded, leaving the tracker
-     * empty again.  Fan-out workers wrap each task in it so the stats
-     * are that task's alone.
+     * first, and return the spans it recorded; the tracker's open spans
+     * and aggregates from before the call are then restored unchanged.
+     * Fan-out tasks wrap themselves in it so the stats are that task's
+     * alone, whether they run on a worker or inline on the caller.
      */
     static std::vector<Stat> capture(const std::function<void()> &fn);
 

@@ -171,6 +171,7 @@ Searcher::run(const SearchSpec &spec)
             row.fate = CandidateFate::Simulated;
             ++result.simulated;
             const core::SweepRunner::StageOutcome &out = outcomes[u];
+            result.cache += out.cache;
             row.status = out.status;
             if (!out.status.ok())
                 continue;

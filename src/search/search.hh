@@ -70,6 +70,8 @@ struct SearchResult
     size_t prunedInfeasible = 0;
     size_t simulated = 0;
     size_t waves = 0; //!< cost classes that reached the runner
+    /** The simulated candidates' own ResultCache traffic. */
+    core::ResultCache::Stats cache;
 
     std::vector<SearchRow> rows;  //!< enumeration order
     std::vector<size_t> frontier; //!< row indices, cost-ascending

@@ -674,10 +674,9 @@ RunService::serveLines(const std::vector<std::string> &lines,
         }
     }
 
-    const core::ResultCache::Stats before =
-        params_.cache ? params_.cache->stats()
-                      : core::ResultCache::Stats();
-
+    // This batch's own cache traffic, summed per unit: other batches
+    // share the cache, so a stats() delta would count theirs too.
+    core::ResultCache::Stats cache_traffic;
     std::vector<core::SweepRunner::StageOutcome> outcomes;
     {
         obs::ScopedSpan span("serve.run");
@@ -687,6 +686,8 @@ RunService::serveLines(const std::vector<std::string> &lines,
         rp.registry = params_.registry;
         core::SweepRunner runner(rp);
         outcomes = runner.runStages(units);
+        for (const core::SweepRunner::StageOutcome &out : outcomes)
+            cache_traffic += out.cache;
 
         // Search requests run after the stage units, in request order,
         // each through its own bounds-pruned wave pipeline (the
@@ -701,10 +702,12 @@ RunService::serveLines(const std::vector<std::string> &lines,
             util::Result<search::SearchResult> result =
                 searcher.run(slot.req.search);
             slot.timing.simulateNs = search_timer.elapsedNs();
-            if (result.ok())
+            if (result.ok()) {
+                cache_traffic += result->cache;
                 slot.search = result.take();
-            else
+            } else {
                 slot.status = result.status();
+            }
         }
     }
 
@@ -786,17 +789,14 @@ RunService::serveLines(const std::vector<std::string> &lines,
             reg.histogram(util::names::kServiceLatencyTotalNs).sample(t.totalNs);
         }
         if (params_.cache) {
-            const core::ResultCache::Stats after =
-                params_.cache->stats();
             reg.counter(util::names::kServiceCacheHitsTotal)
-                .increment(after.hits - before.hits);
+                .increment(cache_traffic.hits);
             reg.counter(util::names::kServiceCacheMissesTotal)
-                .increment(after.misses - before.misses);
+                .increment(cache_traffic.misses);
             reg.counter(util::names::kServiceCacheEvictionsTotal)
-                .increment(after.evictions - before.evictions);
+                .increment(cache_traffic.evictions);
             reg.counter(util::names::kServiceCacheSpillEvictionsTotal)
-                .increment(after.spillEvictions -
-                           before.spillEvictions);
+                .increment(cache_traffic.spillEvictions);
         }
     }
     return responses;

@@ -18,11 +18,11 @@
  * schema_version 1 — exactly one of "workload" / "spec" must be
  * present:
  *
- *   {"schema_version": 1, "id": "r1", "platform": "bdx",
+ *   {"schema_version": 1, "id": "r1", "platform": "skl",
  *    "workload": "isx", "opts": ["vect", "2-ht"], "cores": 4,
  *    "seed": 7, "warmup_us": 15.0, "measure_us": 40.0}
  *
- *   {"schema_version": 1, "platform": "bdx", "random_dominated": true,
+ *   {"schema_version": 1, "platform": "skl", "random_dominated": true,
  *    "spec": {"name": "mykernel", "window": 12, "streams": [
  *      {"kind": "random", "footprint_lines": 4000000}]}}
  *

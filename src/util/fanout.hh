@@ -21,10 +21,14 @@ namespace lll::util
 
 /**
  * Call @p fn(i) once for every i in [0, @p n) on min(n, max(jobs, 1))
- * worker threads and join them.  Workers claim indices in ascending
- * order from a shared counter, so which thread runs an index is
- * unspecified.  Always threads, even for one job: callers that gather
- * thread-local state (spans) then see one code path for every @p jobs.
+ * workers.  With @p jobs <= 1 the one worker is the calling thread,
+ * running the indices in order, so a serial caller (one warm service
+ * request) pays no thread spawn and join.  Otherwise every worker is a
+ * fresh thread, joined before return, and the caller only waits; the
+ * threads claim indices in ascending order from a shared counter, so
+ * which thread runs an index is unspecified.  Callers that gather
+ * thread-local state (spans) wrap each index in
+ * SpanTracker::capture(), which is correct on either path.
  *
  * @return the number of worker threads used (0 when @p n is 0).
  */

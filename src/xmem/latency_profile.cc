@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <optional>
 #include <sstream>
 
 #include "util/logging.hh"
@@ -189,6 +191,71 @@ LatencyProfile::save(const std::string &path) const
     return Status::okStatus();
 }
 
+namespace
+{
+
+/**
+ * The last bytes read from each recently loaded profile path and the
+ * profile parsed from them, so a long-lived server that loads the same
+ * file for every request reads it each time but parses it only when
+ * its bytes change.  Keyed by the bytes, not mtime or inode: a rewrite
+ * within the filesystem's timestamp granularity must still be seen.
+ * Bounded (a search loads one profile per candidate); a full memo
+ * drops its oldest entry.
+ */
+class ProfileMemo
+{
+  public:
+    std::optional<LatencyProfile> find(const std::string &path,
+                                       const std::string &bytes)
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        for (const Entry &e : entries_) {
+            if (e.path == path && e.bytes == bytes)
+                return e.profile;
+        }
+        return std::nullopt;
+    }
+
+    void store(const std::string &path, const std::string &bytes,
+               const LatencyProfile &profile)
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        Entry entry{path, bytes, profile};
+        for (Entry &e : entries_) {
+            if (e.path == path) {
+                e = std::move(entry);
+                return;
+            }
+        }
+        if (entries_.size() == kCapacity)
+            entries_.erase(entries_.begin());
+        entries_.push_back(std::move(entry));
+    }
+
+  private:
+    static constexpr size_t kCapacity = 16;
+
+    struct Entry
+    {
+        std::string path;
+        std::string bytes;
+        LatencyProfile profile;
+    };
+
+    std::mutex mu_;
+    std::vector<Entry> entries_; //!< oldest first
+};
+
+ProfileMemo &
+profileMemo()
+{
+    static ProfileMemo memo;
+    return memo;
+}
+
+} // namespace
+
 Result<LatencyProfile>
 LatencyProfile::load(const std::string &path)
 {
@@ -204,9 +271,15 @@ LatencyProfile::load(const std::string &path)
                              "read error on latency profile '%s'",
                              path.c_str());
     }
-    Result<LatencyProfile> parsed = parse(buf.str());
+    const std::string bytes = buf.str();
+    if (std::optional<LatencyProfile> memo =
+            profileMemo().find(path, bytes)) {
+        return *std::move(memo);
+    }
+    Result<LatencyProfile> parsed = parse(bytes);
     if (!parsed.ok())
         return parsed.status().withContext("loading '%s'", path.c_str());
+    profileMemo().store(path, bytes, *parsed);
     return parsed;
 }
 

@@ -95,7 +95,9 @@ class LatencyProfile
      * yet" case callers may recover from); an unreadable or corrupt
      * file is IoError/CorruptData and must be surfaced — a truncated
      * profile must never silently become latency 0 and a nonsense
-     * n_avg.
+     * n_avg.  The file is read on every call; a small process-wide memo
+     * skips the parse when its bytes equal the last ones parsed from
+     * the same path.  Thread-safe.
      */
     [[nodiscard]] static util::Result<LatencyProfile> load(const std::string &path);
 

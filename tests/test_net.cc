@@ -221,6 +221,8 @@ class TestServer
 
     int port() const { return listener_->tcpPort(); }
 
+    core::ResultCache &cache() { return cache_; }
+
     /** Only valid after stop() — the registry belongs to the event
      *  loop while it runs. */
     obs::MetricRegistry &registry() { return registry_; }
@@ -382,6 +384,67 @@ TEST(Listener, ConcurrentClientsMatchTheBatchPathByteForByte)
     EXPECT_EQ(server.counter("net.responses_total"), received);
     EXPECT_EQ(server.counter("net.conns_accepted_total"),
               uint64_t(kClients));
+}
+
+TEST(Listener, ServiceCacheCountersMatchTheCacheAcrossWorkers)
+{
+    // Two workers look the shared cache up concurrently; each request's
+    // service counters must count its own lookups only, so their sums
+    // equal what the cache itself counted.
+    warmProfileCache();
+    ListenerParams params;
+    params.workers = 2;
+    params.maxInflight = 64;
+    TestServer server(params);
+
+    constexpr int kClients = 4;
+    constexpr int kRequests = 40;
+    std::vector<std::string> errors(kClients);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+            util::Result<BlockingClient> cl =
+                BlockingClient::connectTcp("127.0.0.1", server.port());
+            if (!cl.ok()) {
+                errors[c] = cl.status().toString();
+                return;
+            }
+            for (int i = 0; i < kRequests; ++i) {
+                // Mostly one hot config; each client's first request
+                // uses a seed of its own and must simulate.
+                std::string req = quickRequest("c" + std::to_string(c));
+                if (i == 0) {
+                    req.insert(req.size() - 1,
+                               ", \"seed\": " + std::to_string(100 + c));
+                }
+                Status s = cl->sendAll(req + "\n");
+                util::Result<std::string> line =
+                    s.ok() ? cl->recvLine(60000)
+                           : util::Result<std::string>(s);
+                if (!line.ok()) {
+                    errors[c] = line.status().toString();
+                    return;
+                }
+                if (line->find("\"code\": \"ok\"") == std::string::npos) {
+                    errors[c] = *line;
+                    return;
+                }
+            }
+        });
+    }
+    for (std::thread &t : clients)
+        t.join();
+    for (int c = 0; c < kClients; ++c)
+        ASSERT_TRUE(errors[c].empty()) << "client " << c << ": " << errors[c];
+
+    Status run = server.stop();
+    EXPECT_TRUE(run.ok()) << run.toString();
+    const core::ResultCache::Stats cs = server.cache().stats();
+    EXPECT_EQ(cs.hits + cs.misses, uint64_t(kClients) * kRequests);
+    EXPECT_EQ(server.counter("service.cache_hits_total"), cs.hits);
+    EXPECT_EQ(server.counter("service.cache_misses_total"), cs.misses);
+    EXPECT_EQ(server.counter("service.cache_evictions_total"),
+              cs.evictions);
 }
 
 TEST(Listener, PipeliningCapStillAnswersEverythingInOrder)

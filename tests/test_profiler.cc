@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "obs/profiler.hh"
 #include "obs/span.hh"
@@ -221,6 +223,54 @@ TEST(Profiler, RenderersAreWellFormed)
         EXPECT_GE(depth, 0);
     }
     EXPECT_EQ(depth, 0);
+}
+
+TEST(Profiler, CaptureInsideAnOpenSpanLeavesItUntouched)
+{
+    // fanOut() runs a lone index on its caller, inside the caller's
+    // open span: capture() must hand back only the task's spans and
+    // restore the caller's stack and aggregates as they were.
+    obs::SpanTracker &tracker = obs::SpanTracker::global();
+    tracker.reset();
+    {
+        obs::ScopedSpan done("earlier");
+    }
+    {
+        obs::ScopedSpan outer("serve.run");
+        const std::vector<obs::SpanTracker::Stat> before = tracker.stats();
+
+        const std::vector<obs::SpanTracker::Stat> task =
+            obs::SpanTracker::capture([] {
+                obs::ScopedSpan stage("stage[base]");
+                obs::ScopedSpan sim("simulate");
+            });
+
+        ASSERT_EQ(task.size(), 2u);
+        EXPECT_EQ(task[0].path, "stage[base]");
+        EXPECT_EQ(task[0].depth, 1u);
+        EXPECT_EQ(task[1].path, "stage[base]/simulate");
+        EXPECT_EQ(tracker.depth(), 1u);
+        const std::vector<obs::SpanTracker::Stat> after = tracker.stats();
+        ASSERT_EQ(after.size(), before.size());
+        for (size_t i = 0; i < after.size(); ++i) {
+            EXPECT_EQ(after[i].path, before[i].path);
+            EXPECT_EQ(after[i].count, before[i].count);
+            EXPECT_EQ(after[i].wallNs, before[i].wallNs);
+        }
+        tracker.merge(task);
+    }
+
+    // The still-open span closed into the caller's own aggregate, with
+    // the task merged beneath it.
+    std::vector<std::string> paths;
+    for (const obs::SpanTracker::Stat &st : tracker.stats()) {
+        paths.push_back(st.path);
+        EXPECT_EQ(st.count, 1u) << st.path;
+    }
+    tracker.reset();
+    EXPECT_EQ(paths, (std::vector<std::string>{
+                         "earlier", "serve.run", "serve.run/stage[base]",
+                         "serve.run/stage[base]/simulate"}));
 }
 
 TEST(Profiler, ThreadedSweepCoverageStaysWithinWall)

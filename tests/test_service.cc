@@ -8,7 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
 #include "obs/registry.hh"
@@ -388,6 +394,120 @@ TEST(RunService, WarmRerunServesEntirelyFromCacheByteIdentically)
     }
     EXPECT_EQ(cache.stats().hits, 2u);
     EXPECT_EQ(cache.stats().misses, 2u);
+}
+
+TEST(RunService, OneJobKeepsTheCallersSpansAroundTheRun)
+{
+    // With --jobs 1 the lone unit runs on the calling thread, inside
+    // its open serve.batch/serve.run spans; they must survive it.
+    warmProfileCache();
+    obs::SpanTracker::global().reset();
+    core::ResultCache cache;
+    RunService::Params params;
+    params.cache = &cache;
+    RunService svc(params);
+    std::vector<RunResponse> rs = svc.serveLines({quickRequest("a", "isx")});
+    ASSERT_EQ(rs.size(), 1u);
+    ASSERT_TRUE(rs[0].status.ok()) << rs[0].status.toString();
+
+    std::map<std::string, uint64_t> counts;
+    for (const obs::SpanTracker::Stat &st :
+         obs::SpanTracker::global().stats())
+        counts[st.path] = st.count;
+    obs::SpanTracker::global().reset();
+    EXPECT_EQ(counts["serve.batch"], 1u);
+    EXPECT_EQ(counts["serve.batch/serve.run"], 1u);
+    EXPECT_EQ(counts["serve.batch/serve.run/stage[base]"], 1u);
+    EXPECT_EQ(counts["serve.batch/serve.respond"], 1u);
+}
+
+/**
+ * Requests served against a private profile directory whose skl
+ * profile the test rewrites between batches.
+ */
+class ProfileEditTest : public ::testing::Test
+{
+  protected:
+    void SetUp() override
+    {
+        namespace fs = std::filesystem;
+        dir_ = fs::path(::testing::TempDir()) /
+               ("service-profiles-" + std::to_string(getpid()));
+        fs::create_directories(dir_);
+        path_ = (dir_ / "skl.profile").string();
+        fs::copy_file(fs::path(LLL_TEST_PROFILE_DIR) / "skl.profile",
+                      path_, fs::copy_options::overwrite_existing);
+        setenv("LLL_PROFILE_DIR", dir_.c_str(), 1);
+    }
+
+    void TearDown() override
+    {
+        unsetenv("LLL_PROFILE_DIR");
+        std::filesystem::remove_all(dir_);
+    }
+
+    void write(const std::string &text)
+    {
+        std::ofstream out(path_, std::ios::trunc);
+        out << text;
+    }
+
+    /** One uncached request, so every call reloads the profile. */
+    RunResponse serveOne()
+    {
+        RunService svc({});
+        std::vector<RunResponse> rs =
+            svc.serveLines({quickRequest("p", "isx")});
+        EXPECT_EQ(rs.size(), 1u);
+        return rs.empty() ? RunResponse() : rs[0];
+    }
+
+    std::filesystem::path dir_;
+    std::string path_;
+};
+
+TEST_F(ProfileEditTest, RewrittenProfileReachesTheNextRequest)
+{
+    RunResponse first = serveOne();
+    ASSERT_TRUE(first.status.ok()) << first.status.toString();
+
+    // Double every latency: same simulation, same bandwidth, so the
+    // looked-up latency doubles too.
+    std::ifstream in(path_);
+    std::stringstream text;
+    text << in.rdbuf();
+    util::Result<xmem::LatencyProfile> prof =
+        xmem::LatencyProfile::parse(text.str());
+    ASSERT_TRUE(prof.ok()) << prof.status().toString();
+    std::vector<xmem::LatencyProfile::Point> points = prof->points();
+    for (xmem::LatencyProfile::Point &pt : points)
+        pt.latencyNs *= 2.0;
+    write(xmem::LatencyProfile(prof->platformName(), prof->peakGBs(),
+                               points)
+              .serialize());
+
+    RunResponse second = serveOne();
+    ASSERT_TRUE(second.status.ok()) << second.status.toString();
+    EXPECT_DOUBLE_EQ(second.metrics.analysis.bwGBs,
+                     first.metrics.analysis.bwGBs);
+    EXPECT_NEAR(second.metrics.analysis.latencyNs,
+                2.0 * first.metrics.analysis.latencyNs,
+                1e-3 * first.metrics.analysis.latencyNs);
+}
+
+TEST_F(ProfileEditTest, CorruptedProfileFailsTheNextRequest)
+{
+    ASSERT_TRUE(serveOne().status.ok());
+    write("platform skl\npeak_gbs 128\npoint 1.0 oops\n");
+
+    RunResponse r = serveOne();
+    EXPECT_EQ(r.status.code(), ErrorCode::CorruptData);
+    EXPECT_EQ(r.status.message(),
+              "profile for 'skl': cached profile for 'skl' is unusable "
+              "(delete it or rerun with --fresh): loading '" +
+                  path_ +
+                  "': line 3: malformed profile point: 'point 1.0 "
+                  "oops'");
 }
 
 TEST(RunService, InlineSpecRequestsAnalyzeLikeNamedWorkloads)

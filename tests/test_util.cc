@@ -1,16 +1,19 @@
 /**
  * @file
- * Tests for the util module: logging, RNG, statistics, table rendering.
+ * Tests for the util module: logging, RNG, statistics, table rendering,
+ * JSON parsing and the index fan-out.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "service/service.hh"
 #include "util/argparse.hh"
+#include "util/fanout.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -656,6 +659,47 @@ TEST(JsonParseTest, TypedAccessorsNameTheOffendingField)
     EXPECT_EQ(*fallback, "dflt");
     util::Result<bool> mismatch = doc->getBoolOr("n", false);
     EXPECT_FALSE(mismatch.ok());
+}
+
+// --- fan-out ------------------------------------------------------------
+
+TEST(FanOut, OneJobRunsEveryIndexInOrderOnTheCaller)
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::thread::id> ran_on(5);
+    std::vector<size_t> order;
+    EXPECT_EQ(util::fanOut(ran_on.size(), 1, [&](size_t i) {
+                  ran_on[i] = std::this_thread::get_id();
+                  order.push_back(i);
+              }),
+              1u);
+    for (const std::thread::id &id : ran_on)
+        EXPECT_EQ(id, caller);
+    EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(FanOut, SeveralJobsNeverRunAnIndexOnTheCaller)
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::thread::id> ran_on(8);
+    EXPECT_EQ(util::fanOut(ran_on.size(), 4,
+                           [&](size_t i) {
+                               ran_on[i] = std::this_thread::get_id();
+                           }),
+              4u);
+    for (const std::thread::id &id : ran_on) {
+        EXPECT_NE(id, std::thread::id());
+        EXPECT_NE(id, caller);
+    }
+    EXPECT_EQ(util::fanOut(0, 4, [](size_t) { FAIL(); }), 0u);
+
+    // Only a serial caller runs inline: one index at --jobs 4 still
+    // gets a thread of its own.
+    std::thread::id lone;
+    EXPECT_EQ(util::fanOut(1, 4,
+                           [&](size_t) { lone = std::this_thread::get_id(); }),
+              1u);
+    EXPECT_NE(lone, caller);
 }
 
 } // namespace

@@ -811,7 +811,8 @@ cmdSweep(Cli &c)
                 << ", \"n_avg\": " << row.nAvg << ", \"opt\": \""
                 << row.optLabel << "\", \"speedup\": " << row.speedup
                 << ", \"paper_speedup\": " << row.paperSpeedup
-                << "}";
+                << ", \"recommended\": "
+                << (row.recommended ? "true" : "false") << "}";
             first_row = false;
         }
         out << (first_row ? "" : "\n    ") << "]}";
