@@ -1,6 +1,6 @@
 /**
  * @file
- * Minimal ASCII table renderer used by the bench harnesses to print
+ * Minimal ASCII table renderer used by `lll` and the examples to print
  * paper-style tables (Tables I, III–IX of the paper).
  */
 

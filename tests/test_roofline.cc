@@ -77,22 +77,6 @@ TEST_F(RooflineTest, CeilingCapsAttainable)
     EXPECT_LT(at, roof_.attainableGFlops(1.0));
 }
 
-TEST_F(RooflineTest, SeriesIsMonotoneAndOrdered)
-{
-    auto series = roof_.series(0.1, 100.0, 16, plat_.totalCores);
-    ASSERT_EQ(series.size(), 16u);
-    for (size_t i = 0; i < series.size(); ++i) {
-        const auto &pt = series[i];
-        EXPECT_LE(pt.l1CeilingGFlops, pt.classicGFlops + 1e-9);
-        EXPECT_LE(pt.l2CeilingGFlops, pt.classicGFlops + 1e-9);
-        EXPECT_LE(pt.l1CeilingGFlops, pt.l2CeilingGFlops + 1e-9);
-        if (i > 0) {
-            EXPECT_GT(pt.intensity, series[i - 1].intensity);
-            EXPECT_GE(pt.classicGFlops, series[i - 1].classicGFlops);
-        }
-    }
-}
-
 TEST(RooflineKnlTest, L1CeilingReproducesPaper256)
 {
     // The paper's Fig. 2 second roofline: 64 cores x 12 L1 MSHRs at
@@ -116,7 +100,6 @@ TEST(RooflineDeathTest, BadQueriesPanic)
     Roofline roof(p, test::syntheticProfile());
     EXPECT_DEATH(roof.attainableGFlops(0.0), "intensity");
     EXPECT_DEATH(roof.mshrCeilingGBs(0u, 4), "MSHR ceiling");
-    EXPECT_DEATH(roof.series(1.0, 0.5, 8, 4), "series");
 }
 
 } // namespace
